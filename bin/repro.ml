@@ -116,7 +116,8 @@ let scale_cmd =
   let shards =
     let doc =
       "Shard (domain) counts to run, comma-separated. Defaults to 1,2,4,8 capped at the \
-       host's recommended domain count."
+       host's recommended domain count; with $(b,--stats-only), to 1 alone, so the output \
+       does not depend on the host."
     in
     Arg.(value & opt (some (list int)) None & info [ "shards"; "n" ] ~docv:"N,N,..." ~doc)
   in
@@ -155,7 +156,9 @@ let scale_cmd =
   in
   let run shards rounds batch queues mode stats_only =
     let shards_list =
-      match shards with Some l -> l | None -> Experiments.Scaling.default_shards_list ()
+      match shards with
+      | Some l -> l
+      | None -> if stats_only then [ 1 ] else Experiments.Scaling.default_shards_list ()
     in
     (* Surface bad sizes as clean CLI errors, not engine exceptions. *)
     (match

@@ -1,5 +1,5 @@
-(* Placeholder for empty/invalid sidecar slots; never observable
-   through the API (guarded by the key being [Flow.Key.none]). *)
+(* Placeholder for the flow memo column of never-keyed slots; never
+   observable through the API (guarded by [hp_keyed]). *)
 let no_flow =
   Flow.make ~src_ip:0l ~dst_ip:0l ~src_port:0 ~dst_port:0 ~protocol:Flow.Udp
 
@@ -12,20 +12,13 @@ let no_packet = { Packet.buf = Slab.of_bytes Bytes.empty; len = 0; addr = 0; slo
 type t = {
   mutable pkts : Packet.t array;
   mutable len : int;
-  (* Flow-key sidecar: slot [i] caches the parse of packet [i]'s
-     5-tuple — the packed immediate key in [keys] and the materialised
-     record in [flows] — so that the header is parsed once (at NIC rx)
-     instead of once per pipeline stage. [keys.(i) = Flow.Key.none]
-     marks a slot that was never parsed or was invalidated by a header
-     mutation; [flows.(i)] is then meaningless. *)
-  keys : int array;
-  flows : Flow.t array;
   (* Header plane: structure-of-arrays columns holding the one parse of
-     each packet's L3/L4 header. [hp_state.(i)] is 0 when slot [i] has
-     no plane (never seeded, or invalidated by a byte-level rewrite);
-     otherwise it carries [hp_valid] plus the per-column dirty bits of
-     {!Packet} ([dirty_ttl] ...). Column stages read and write these
-     unboxed ints; wire bytes are only touched again at
+     each packet's L3/L4 header — the batch's only per-packet header
+     cache. [hp_state.(i)] is 0 when slot [i] has no plane (never
+     seeded, or invalidated by a byte-level rewrite); otherwise it
+     carries [hp_valid], the per-column dirty bits of {!Packet}
+     ([dirty_ttl] ...) and [hp_keyed]. Column stages read and write
+     these unboxed ints; wire bytes are only touched again at
      {!materialize}. *)
   hp_state : int array;
   hp_src_ip : int array;
@@ -36,6 +29,12 @@ type t = {
   hp_ttl : int array;
   hp_ip_len : int array;
   hp_csum : int array;
+  (* The flow key, a column derived from the address columns: under
+     [hp_keyed], [hp_key.(i)] is their packed 5-tuple and [hp_flow.(i)]
+     a record equal to it — the generator's interned one wherever
+     possible, so physical-equality memos downstream keep hitting. *)
+  hp_key : int array;
+  hp_flow : Flow.t array;
   (* Conservative count of slots whose plane carries dirty bits: bumped
      on every clean->dirty transition, reset only by a full
      {!materialize} or {!clear}. Never undercounts (compaction and
@@ -45,6 +44,7 @@ type t = {
 }
 
 let hp_valid = 32
+let hp_keyed = 64
 let hp_dirty_mask = hp_valid - 1
 
 let create ~capacity =
@@ -52,8 +52,6 @@ let create ~capacity =
   {
     pkts = Array.make capacity no_packet;
     len = 0;
-    keys = Array.make capacity Flow.Key.none;
-    flows = Array.make capacity no_flow;
     hp_state = Array.make capacity 0;
     hp_src_ip = Array.make capacity 0;
     hp_dst_ip = Array.make capacity 0;
@@ -63,6 +61,8 @@ let create ~capacity =
     hp_ttl = Array.make capacity 0;
     hp_ip_len = Array.make capacity 0;
     hp_csum = Array.make capacity 0;
+    hp_key = Array.make capacity Flow.Key.none;
+    hp_flow = Array.make capacity no_flow;
     hp_dirty_n = 0;
   }
 
@@ -73,7 +73,6 @@ let is_empty t = t.len = 0
 let push t p =
   if t.len = Array.length t.pkts then invalid_arg "Batch.push: batch full";
   t.pkts.(t.len) <- p;
-  t.keys.(t.len) <- Flow.Key.none;
   t.hp_state.(t.len) <- 0;
   t.len <- t.len + 1
 
@@ -86,76 +85,13 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Batch.get: out of bounds";
   t.pkts.(i)
 
-(* --- Flow-key sidecar ------------------------------------------------ *)
+(* --- Header plane (SoA columns) -------------------------------------- *)
 
 let check_slot op t i =
   if i < 0 || i >= t.len then invalid_arg ("Batch." ^ op ^ ": out of bounds")
 
-let seed_flow t i flow =
-  check_slot "seed_flow" t i;
-  t.keys.(i) <- Flow.Key.of_flow flow;
-  t.flows.(i) <- flow
-
-(* [seed_flow] with the key already in hand (the NIC's frame-template
-   cache stores it next to the frame), skipping the per-packet hash. *)
-let seed_flow_keyed t i flow key =
-  check_slot "seed_flow_keyed" t i;
-  t.keys.(i) <- key;
-  t.flows.(i) <- flow
-
-let push_flow t p flow =
-  push t p;
-  t.keys.(t.len - 1) <- Flow.Key.of_flow flow;
-  t.flows.(t.len - 1) <- flow
-
-let invalidate_flow t i =
-  check_slot "invalidate_flow" t i;
-  t.keys.(i) <- Flow.Key.none
-
-let flow_cached t i =
-  check_slot "flow_cached" t i;
-  not (Flow.Key.is_none t.keys.(i))
-
-let flow t i =
-  check_slot "flow" t i;
-  if Flow.Key.is_none t.keys.(i) then begin
-    (* Re-parse preference: a valid header plane IS the current header
-       (bytes may be stale under deferred writeback), so the tuple is
-       rebuilt from columns; only a plane-less slot reads wire bytes. *)
-    let st = t.hp_state.(i) in
-    if st <> 0 && t.hp_src_port.(i) >= 0 then begin
-      let f =
-        Flow.make
-          ~src_ip:(Int32.of_int t.hp_src_ip.(i))
-          ~dst_ip:(Int32.of_int t.hp_dst_ip.(i))
-          ~src_port:t.hp_src_port.(i) ~dst_port:t.hp_dst_port.(i)
-          ~protocol:(match t.hp_proto.(i) with 6 -> Flow.Tcp | _ -> Flow.Udp)
-      in
-      t.keys.(i) <- Flow.Key.of_flow f;
-      t.flows.(i) <- f
-    end
-    else begin
-      let f = Packet.flow_of (get t i) in
-      t.keys.(i) <- Flow.Key.of_flow f;
-      t.flows.(i) <- f
-    end
-  end;
-  t.flows.(i)
-
-let flow_key t i =
-  check_slot "flow_key" t i;
-  if Flow.Key.is_none t.keys.(i) then ignore (flow t i);
-  t.keys.(i)
-
-let blit_flow src i dst j =
-  check_slot "blit_flow" src i;
-  check_slot "blit_flow" dst j;
-  if src.hp_state.(i) land hp_dirty_mask <> 0 then
-    (* The copied plane carries deferred writes: keep the destination's
-       dirty count an upper bound so its barriers still scan. *)
-    dst.hp_dirty_n <- dst.hp_dirty_n + 1;
-  dst.keys.(j) <- src.keys.(i);
-  dst.flows.(j) <- src.flows.(i);
+(* Copy slot [i]'s plane, key included, to [dst]'s slot [j]. *)
+let[@inline] copy_slot src i dst j =
   dst.hp_state.(j) <- src.hp_state.(i);
   dst.hp_src_ip.(j) <- src.hp_src_ip.(i);
   dst.hp_dst_ip.(j) <- src.hp_dst_ip.(i);
@@ -164,23 +100,20 @@ let blit_flow src i dst j =
   dst.hp_proto.(j) <- src.hp_proto.(i);
   dst.hp_ttl.(j) <- src.hp_ttl.(i);
   dst.hp_ip_len.(j) <- src.hp_ip_len.(i);
-  dst.hp_csum.(j) <- src.hp_csum.(i)
+  dst.hp_csum.(j) <- src.hp_csum.(i);
+  dst.hp_key.(j) <- src.hp_key.(i);
+  dst.hp_flow.(j) <- src.hp_flow.(i)
 
-(* --- Header plane (SoA columns) -------------------------------------- *)
+let blit_hdr src i dst j =
+  check_slot "blit_hdr" src i;
+  check_slot "blit_hdr" dst j;
+  if src.hp_state.(i) land hp_dirty_mask <> 0 then
+    (* The copied plane carries deferred writes: keep the destination's
+       dirty count an upper bound so its barriers still scan. *)
+    dst.hp_dirty_n <- dst.hp_dirty_n + 1;
+  copy_slot src i dst j
 
-(* Copy slot [i]'s plane columns down to slot [w] during compaction. *)
-let[@inline] hp_compact t i w =
-  t.hp_state.(w) <- t.hp_state.(i);
-  t.hp_src_ip.(w) <- t.hp_src_ip.(i);
-  t.hp_dst_ip.(w) <- t.hp_dst_ip.(i);
-  t.hp_src_port.(w) <- t.hp_src_port.(i);
-  t.hp_dst_port.(w) <- t.hp_dst_port.(i);
-  t.hp_proto.(w) <- t.hp_proto.(i);
-  t.hp_ttl.(w) <- t.hp_ttl.(i);
-  t.hp_ip_len.(w) <- t.hp_ip_len.(i);
-  t.hp_csum.(w) <- t.hp_csum.(i)
-
-let seed_hdr t i ~flow ~ttl ~ip_len ~csum =
+let seed_hdr t i ~flow ~key ~ttl ~ip_len ~csum =
   check_slot "seed_hdr" t i;
   t.hp_src_ip.(i) <- Int32.to_int flow.Flow.src_ip land 0xFFFFFFFF;
   t.hp_dst_ip.(i) <- Int32.to_int flow.Flow.dst_ip land 0xFFFFFFFF;
@@ -190,19 +123,13 @@ let seed_hdr t i ~flow ~ttl ~ip_len ~csum =
   t.hp_ttl.(i) <- ttl;
   t.hp_ip_len.(i) <- ip_len;
   t.hp_csum.(i) <- csum;
-  t.hp_state.(i) <- hp_valid
+  t.hp_key.(i) <- key;
+  t.hp_flow.(i) <- flow;
+  t.hp_state.(i) <- hp_valid lor hp_keyed
 
 let invalidate_hdr t i =
   check_slot "invalidate_hdr" t i;
   t.hp_state.(i) <- 0
-
-let hdr_valid t i =
-  check_slot "hdr_valid" t i;
-  t.hp_state.(i) <> 0
-
-let hdr_dirty t i =
-  check_slot "hdr_dirty" t i;
-  t.hp_state.(i) land hp_dirty_mask <> 0
 
 (* Lazy load for a plane-less slot: one parse from wire bytes. Raises
    like the {!Packet} accessors on non-IPv4 slots; ports are recorded
@@ -232,11 +159,51 @@ let[@inline] ensure_hdr op t i =
   check_slot op t i;
   if t.hp_state.(i) = 0 then load_hdr t i
 
+(* Re-derive slot [i]'s key from its address columns. The memo record
+   is kept while its fields still match — a TTL-only byte rewrite
+   drops the plane but not the tuple — so only a changed tuple
+   allocates a new record. *)
+let derive_key t i =
+  let src_port = t.hp_src_port.(i) in
+  if src_port < 0 then begin
+    (* No ports (GRE outer header): fail exactly like the wire parse. *)
+    ignore (Packet.flow_of (get t i));
+    invalid_arg "Batch.flow: protocol carries no ports"
+  end;
+  let src_ip = t.hp_src_ip.(i) and dst_ip = t.hp_dst_ip.(i) in
+  let dst_port = t.hp_dst_port.(i) and proto = t.hp_proto.(i) in
+  let m = t.hp_flow.(i) in
+  if
+    not
+      (Int32.to_int m.Flow.src_ip land 0xFFFFFFFF = src_ip
+      && Int32.to_int m.Flow.dst_ip land 0xFFFFFFFF = dst_ip
+      && m.Flow.src_port = src_port && m.Flow.dst_port = dst_port
+      && Flow.protocol_number m.Flow.protocol = proto)
+  then
+    t.hp_flow.(i) <-
+      Flow.make ~src_ip:(Int32.of_int src_ip) ~dst_ip:(Int32.of_int dst_ip) ~src_port
+        ~dst_port
+        ~protocol:(if proto = 6 then Flow.Tcp else Flow.Udp);
+  t.hp_key.(i) <- Flow.Key.pack ~src_ip ~dst_ip ~src_port ~dst_port ~proto;
+  t.hp_state.(i) <- t.hp_state.(i) lor hp_keyed
+
+let flow t i =
+  ensure_hdr "flow" t i;
+  if t.hp_state.(i) land hp_keyed = 0 then derive_key t i;
+  t.hp_flow.(i)
+
+let flow_key t i =
+  ensure_hdr "flow_key" t i;
+  if t.hp_state.(i) land hp_keyed = 0 then derive_key t i;
+  t.hp_key.(i)
+
 (* Set dirty bit [bit] on slot [i], counting the clean->dirty
-   transition for {!materialize}'s skip test. *)
+   transition for {!materialize}'s skip test. Every column but TTL is
+   part of the 5-tuple, so writing one drops the derived key. *)
 let[@inline] mark_dirty t i bit =
   let st = t.hp_state.(i) in
   if st land hp_dirty_mask = 0 then t.hp_dirty_n <- t.hp_dirty_n + 1;
+  let st = if bit = Packet.dirty_ttl then st else st land lnot hp_keyed in
   t.hp_state.(i) <- st lor bit
 
 let col_ttl t i =
@@ -300,25 +267,20 @@ let col_ip_len t i =
   ensure_hdr "col_ip_len" t i;
   t.hp_ip_len.(i)
 
-let materialize_slot t i =
-  check_slot "materialize_slot" t i;
-  let st = t.hp_state.(i) in
-  if st land hp_dirty_mask <> 0 then begin
-    let p = get t i in
-    t.hp_csum.(i) <-
-      Packet.apply_hdr p ~dirty:(st land hp_dirty_mask) ~ttl:t.hp_ttl.(i)
-        ~src_ip:t.hp_src_ip.(i) ~dst_ip:t.hp_dst_ip.(i)
-        ~src_port:t.hp_src_port.(i) ~dst_port:t.hp_dst_port.(i);
-    t.hp_state.(i) <- hp_valid
-  end
-
 let materialize t =
   (* [hp_dirty_n] is a conservative upper bound (compaction may drop
      dirty slots without decrementing), so zero means provably clean —
      the common case at every barrier of a read-only pipeline. *)
   if t.hp_dirty_n <> 0 then begin
     for i = 0 to t.len - 1 do
-      if Array.unsafe_get t.hp_state i land hp_dirty_mask <> 0 then materialize_slot t i
+      let st = Array.unsafe_get t.hp_state i in
+      if st land hp_dirty_mask <> 0 then begin
+        t.hp_csum.(i) <-
+          Packet.apply_hdr t.pkts.(i) ~dirty:(st land hp_dirty_mask) ~ttl:t.hp_ttl.(i)
+            ~src_ip:t.hp_src_ip.(i) ~dst_ip:t.hp_dst_ip.(i) ~src_port:t.hp_src_port.(i)
+            ~dst_port:t.hp_dst_port.(i);
+        t.hp_state.(i) <- st land lnot hp_dirty_mask
+      end
     done;
     t.hp_dirty_n <- 0
   end
@@ -340,6 +302,10 @@ let hdr_consistent t i =
     && Packet.stored_checksum p = t.hp_csum.(i)
     && (t.hp_src_port.(i) < 0
         || (Packet.src_port p = t.hp_src_port.(i) && Packet.dst_port p = t.hp_dst_port.(i)))
+    && (st land hp_keyed = 0
+        ||
+        let f = Packet.flow_of p in
+        t.hp_key.(i) = Flow.hash f && Flow.equal t.hp_flow.(i) f)
   end
 
 (* Forgetful-rewriter harness hook: write a column WITHOUT its dirty
@@ -371,87 +337,34 @@ let fold f init t =
   iter (fun p -> acc := f !acc p) t;
   !acc
 
+(* Drop every slot from [w] on. *)
+let truncate t w =
+  for i = w to t.len - 1 do
+    t.pkts.(i) <- no_packet;
+    t.hp_state.(i) <- 0
+  done;
+  t.len <- w
+
 (* The keep callback sees the packet at its *original* index — the
    write cursor [w] only ever trails the read cursor, so slot [i] is
-   still intact when [keep i p] runs and sidecar operations against
-   index [i] (e.g. [invalidate_flow] after a header rewrite) land on
-   the right slot before it is compacted down to [w]. *)
-let filteri_in_place t keep =
-  let dropped = ref [] in
-  let w = ref 0 in
-  for i = 0 to t.len - 1 do
-    let p = get t i in
-    if keep i p then begin
-      if !w <> i then begin
-        t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
-      end;
-      incr w
-    end
-    else dropped := p :: !dropped
-  done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- !w;
-  List.rev !dropped
-
-let filter_in_place t keep = filteri_in_place t (fun _ p -> keep p)
-
-(* [filteri_in_place] without the list: dropped packets land in the
-   caller's scratch array, in encounter order. The fused pipeline
-   passes one reusable scratch per pipeline, making filter passes
-   allocation-free. *)
-let sieve t keep ~dropped =
-  let w = ref 0 in
-  let d = ref 0 in
-  for i = 0 to t.len - 1 do
-    let p = get t i in
-    if keep i p then begin
-      (* Until the first drop [w = i] and the slot is already in place:
-         the pass stores (and allocates) nothing — the common case for
-         a filter that keeps the whole batch. Moves reuse the existing
-         slot's own reference rather than re-storing it. *)
-      if !w <> i then begin
-        t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
-      end;
-      incr w
-    end
-    else begin
-      dropped.(!d) <- p;
-      incr d
-    end
-  done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- !w;
-  !d
-
-(* [sieve] with the filter-kernel calling convention inlined: the
-   pipeline's filter pass would otherwise wrap the kernel in a
-   two-argument closure, paying a second unknown-function trampoline
-   per packet on top of the kernel's own. *)
+   still intact when [keep env t i p] runs and plane operations
+   against index [i] land on the right slot before it is compacted
+   down to [w]. Dropped packets land in the caller's scratch array, in
+   encounter order; the kernel calling convention is applied directly
+   so the pipeline's filter pass pays no wrapper-closure trampoline
+   per packet. *)
 let sieve_kernel t keep env ~dropped =
   let w = ref 0 in
   let d = ref 0 in
   for i = 0 to t.len - 1 do
     let p = get t i in
     if keep env t i p then begin
+      (* Until the first drop [w = i] and the slot is already in place:
+         the pass stores (and allocates) nothing — the common case for
+         a filter that keeps the whole batch. *)
       if !w <> i then begin
-        t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
+        t.pkts.(!w) <- p;
+        copy_slot t i t !w
       end;
       incr w
     end
@@ -460,36 +373,17 @@ let sieve_kernel t keep env ~dropped =
       incr d
     end
   done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- !w;
+  truncate t !w;
   !d
 
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.hp_dirty_n <- 0;
-  t.len <- 0
+let filteri_in_place t keep =
+  let dropped = Array.make t.len no_packet in
+  let d = sieve_kernel t (fun keep _t i p -> keep i p) keep ~dropped in
+  Array.to_list (Array.sub dropped 0 d)
 
-let take_all t =
-  (* Ownership of the packets leaves the batch — flush any deferred
-     column writes so the bytes handed out are canonical. *)
-  materialize t;
-  let ps = ref [] in
-  for i = t.len - 1 downto 0 do
-    ps := get t i :: !ps;
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- 0;
-  !ps
+let clear t =
+  truncate t 0;
+  t.hp_dirty_n <- 0
 
 let packets t =
   let ps = ref [] in
@@ -497,3 +391,11 @@ let packets t =
     ps := get t i :: !ps
   done;
   !ps
+
+let take_all t =
+  (* Ownership of the packets leaves the batch — flush any deferred
+     column writes so the bytes handed out are canonical. *)
+  materialize t;
+  let ps = packets t in
+  clear t;
+  ps

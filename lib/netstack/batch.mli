@@ -18,80 +18,60 @@ val capacity : t -> int
 val is_empty : t -> bool
 
 val push : t -> Packet.t -> unit
-(** Raises [Invalid_argument] when full. The new slot's flow cache
-    starts invalid. *)
-
-val push_flow : t -> Packet.t -> Flow.t -> unit
-(** [push] plus seeding the flow-key sidecar: the NIC rx path knows the
-    5-tuple it crafted, so downstream stages never re-parse headers. *)
+(** Raises [Invalid_argument] when full. The new slot has no header
+    plane. *)
 
 val get : t -> int -> Packet.t
 val iter : (Packet.t -> unit) -> t -> unit
 val iteri : (int -> Packet.t -> unit) -> t -> unit
 val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
 
-(** {2 Flow-key sidecar}
-
-    Slot [i] caches the parse of packet [i]'s 5-tuple — the packed
-    immediate {!Flow.Key.t} and the materialised {!Flow.t} — seeded at
-    NIC rx and reused by every stage (Maglev, RSS, NAT, heavy hitters,
-    firewalls). A stage that mutates any 5-tuple header field must call
-    {!invalidate_flow}; the next {!flow}/{!flow_key} then re-parses
-    lazily. All sidecar accessors bounds-check and raise
-    [Invalid_argument] like {!get}. *)
-
-val flow : t -> int -> Flow.t
-(** Cached 5-tuple of packet [i]; parses (and caches) on a cold or
-    invalidated slot. *)
-
-val flow_key : t -> int -> Flow.Key.t
-(** Packed key of packet [i]'s 5-tuple; same caching as {!flow}. *)
-
-val seed_flow : t -> int -> Flow.t -> unit
-(** Install a known 5-tuple for slot [i] (NIC rx, packet rewriters that
-    know the post-rewrite tuple). *)
-
-val seed_flow_keyed : t -> int -> Flow.t -> Flow.Key.t -> unit
-(** {!seed_flow} with the packed key already computed — the caller
-    vouches that [key = Flow.Key.of_flow flow]. *)
-
-val invalidate_flow : t -> int -> unit
-(** Mark slot [i]'s cache stale after a header mutation. *)
-
-val flow_cached : t -> int -> bool
-
-val blit_flow : t -> int -> t -> int -> unit
-(** [blit_flow src i dst j] copies slot [i]'s sidecar state — flow
-    cache and header plane, valid or not — to [dst]'s slot [j], for
-    deep-copying pipelines whose copies are byte-identical. *)
-
 (** {2 Header plane (SoA columns)}
 
-    Structure-of-arrays view of each packet's L3/L4 header: parsed
-    once (seeded by the NIC at rx via {!seed_hdr}, or lazily from wire
-    bytes on first column access), mutated through the [set_col_*]
-    writers which record a per-column dirty bit, and written back to
-    wire bytes by a single {!materialize} pass with one accumulated
-    RFC 1624 checksum fold per packet ({!Packet.apply_hdr}).
+    The batch's one per-packet header cache: a structure-of-arrays
+    view of each packet's L3/L4 header, parsed once (seeded by the NIC
+    at rx via {!seed_hdr}, or lazily from wire bytes on first access),
+    mutated through the [set_col_*] writers which record a per-column
+    dirty bit, and written back to wire bytes by a single
+    {!materialize} pass with one accumulated RFC 1624 checksum fold per
+    packet ({!Packet.apply_hdr}). The 5-tuple ({!flow}, {!flow_key}) is
+    a column derived from the address columns under the same validity
+    state: the address writers drop it, and the next read re-derives
+    it from the columns without touching bytes.
 
-    Contract for column ([Stage.Cols]) stages: read and write header
-    fields only through these columns (and the flow sidecar); never
-    touch wire bytes. The pipeline materializes the batch before any
-    byte-reading stage, flowcache guard compare or exit — see
-    DESIGN.md §15. A stage that mutates header bytes directly
-    (GRE encap/decap, flowcache replay) must call {!invalidate_hdr};
-    the next column access re-parses. *)
+    One rule for stage authors: write header fields through the
+    columns; a stage that mutates header bytes directly (GRE
+    encap/decap, flowcache replay, the [_bytes] twins) calls
+    {!invalidate_hdr}, which drops the plane and the key together. The
+    pipeline materializes the batch before any byte-reading stage,
+    flowcache guard compare or exit — see DESIGN.md §15. All accessors
+    bounds-check and raise [Invalid_argument] like {!get}. *)
 
-val seed_hdr : t -> int -> flow:Flow.t -> ttl:int -> ip_len:int -> csum:int -> unit
-(** Install the known header columns for slot [i] without reading
-    bytes — the NIC rx path knows every field it crafted. [csum] is
-    the checksum word as stored in the header. *)
+val seed_hdr :
+  t -> int -> flow:Flow.t -> key:Flow.Key.t -> ttl:int -> ip_len:int -> csum:int -> unit
+(** Install the known header columns and 5-tuple for slot [i] without
+    reading bytes — the NIC rx path knows every field it crafted. The
+    caller vouches that [key = Flow.Key.of_flow flow]; [csum] is the
+    checksum word as stored in the header. *)
 
 val invalidate_hdr : t -> int -> unit
-(** Drop slot [i]'s plane after a byte-level header mutation. *)
+(** Drop slot [i]'s plane and key after a byte-level header mutation;
+    the next access re-parses. *)
 
-val hdr_valid : t -> int -> bool
-val hdr_dirty : t -> int -> bool
+val blit_hdr : t -> int -> t -> int -> unit
+(** [blit_hdr src i dst j] copies slot [i]'s plane — columns, key and
+    dirty bits, valid or not — to [dst]'s slot [j], for batches whose
+    packets are byte-identical copies or moves. *)
+
+val flow : t -> int -> Flow.t
+(** 5-tuple of packet [i], derived from the columns (loading them on a
+    plane-less slot). A record whose fields still match is reused, so
+    the generator's interned record survives rewrites that leave the
+    tuple alone. Raises [Invalid_argument] like {!Packet.flow_of} on a
+    packet without ports (a GRE outer header). *)
+
+val flow_key : t -> int -> Flow.Key.t
+(** Packed key of packet [i]'s 5-tuple; derived like {!flow}. *)
 
 val col_ttl : t -> int -> int
 val col_src_ip : t -> int -> int
@@ -110,10 +90,10 @@ val set_col_dst_ip : t -> int -> int -> unit
 val set_col_src_port : t -> int -> int -> unit
 val set_col_dst_port : t -> int -> int -> unit
 (** Column writers: record the new value and its dirty bit; wire bytes
-    are untouched until {!materialize}. Setters validate ranges like
-    the corresponding {!Packet} setters. *)
+    are untouched until {!materialize}. The address writers also drop
+    the slot's key. Setters validate ranges like the corresponding
+    {!Packet} setters. *)
 
-val materialize_slot : t -> int -> unit
 val materialize : t -> unit
 (** Write every dirty column back to wire bytes — one pass, one
     RFC 1624 checksum fold per packet — and mark the plane clean.
@@ -122,7 +102,8 @@ val materialize : t -> unit
 
 val hdr_consistent : t -> int -> bool
 (** Audit hook: a slot whose plane claims to be clean must agree with
-    a fresh parse of its wire bytes. Dirty or plane-less slots pass
+    a fresh parse of its wire bytes — columns, and the key and flow
+    record too when the key is valid. Dirty or plane-less slots pass
     vacuously. *)
 
 (**/**)
@@ -137,27 +118,21 @@ val poke_col_for_test :
 
 (**/**)
 
-val filter_in_place : t -> (Packet.t -> bool) -> Packet.t list
+val filteri_in_place : t -> (int -> Packet.t -> bool) -> Packet.t list
 (** Keep packets satisfying the predicate (preserving order); returns
     the dropped ones so the caller can release their buffers. The
-    sidecar is compacted alongside the packets. *)
-
-val filteri_in_place : t -> (int -> Packet.t -> bool) -> Packet.t list
-(** [filter_in_place] with the packet's (pre-compaction) index, so the
-    predicate can consult and invalidate the flow sidecar. *)
-
-val sieve : t -> (int -> Packet.t -> bool) -> dropped:Packet.t array -> int
-(** [filteri_in_place] without the allocation: dropped packets are
-    written into [dropped] (which must hold at least {!length} [t]
-    entries) in encounter order; returns how many were dropped. The
-    fused pipeline's filter passes run through this with one reusable
-    scratch array per pipeline. *)
+    predicate sees the packet's (pre-compaction) index, so it can read
+    and write that slot's plane; the plane is compacted alongside the
+    packets. *)
 
 val sieve_kernel :
   t -> ('e -> t -> int -> Packet.t -> bool) -> 'e -> dropped:Packet.t array -> int
-(** {!sieve} with the filter-kernel calling convention applied
-    directly ([keep env t i p]), so the pipeline's filter pass does
-    not pay a wrapper-closure trampoline per packet. *)
+(** {!filteri_in_place} without the allocation, with the filter-kernel
+    calling convention applied directly ([keep env t i p]): dropped
+    packets are written into [dropped] (which must hold at least
+    {!length} [t] entries) in encounter order; returns how many were
+    dropped. The fused pipeline's filter passes run through this with
+    one reusable scratch array per pipeline. *)
 
 val clear : t -> unit
 (** Empty the batch without returning the packets (the caller already

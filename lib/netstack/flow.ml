@@ -49,7 +49,7 @@ let[@inline] feed_u32 acc v =
   feed acc (v lsr 24)
 
 (* The packed 5-tuple fed from already-unboxed fields: what the NIC rx
-   path uses so that seeding a batch's flow-key sidecar allocates
+   path uses so that seeding a batch's flow-key column allocates
    nothing. [src_ip]/[dst_ip] are the raw unsigned 32-bit values. *)
 let fnv_raw basis ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
   let acc = feed_u32 basis src_ip in

@@ -35,12 +35,12 @@ type flow = t
 (** Alias so {!Key.of_flow} can name the record type it consumes. *)
 
 (** Packed immediate flow keys — the value cached per packet in
-    {!Batch}'s flow-key sidecar so that pipeline stages stop re-parsing
+    {!Batch}'s header plane so that pipeline stages stop re-parsing
     headers (and re-hashing tuples) on every hop. *)
 module Key : sig
   type t = int
-  (** Always non-negative for a real key; [none] marks an invalid /
-      not-yet-parsed sidecar slot. *)
+  (** Always non-negative for a real key; [none] is a placeholder that
+      no real key equals. *)
 
   val none : t
   val is_none : t -> bool

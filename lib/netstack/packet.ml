@@ -187,7 +187,7 @@ let flow_of t =
     ~protocol
 
 (* The packed flow key straight off the wire: no [Flow.t] record, no
-   [int32], just immediate ints — the parse the batch sidecar caches. *)
+   [int32], just immediate ints — the parse the batch's header plane caches. *)
 let flow_key t =
   if ethertype t <> 0x0800 then invalid_arg "Packet: not IPv4 ethertype";
   let proto = protocol_number t in

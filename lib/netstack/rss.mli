@@ -35,7 +35,7 @@ val queue_of_packet : t -> Packet.t -> int
 
 val bucket_of_key : t -> Flow.Key.t -> int
 val queue_of_key : t -> Flow.Key.t -> int
-(** Steering decisions from a packed flow key (batch sidecar or
+(** Steering decisions from a packed flow key (batch header plane or
     {!Packet.flow_key}) without materialising a {!Flow.t}. *)
 
 val retarget : t -> bucket:int -> queue:int -> unit

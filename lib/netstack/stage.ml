@@ -12,7 +12,7 @@ type kernel =
 type hook = (unit -> unit) -> unit
 
 (* What a kernel body touches: [Cols] bodies go through the batch's
-   header-plane columns (and flow sidecar) only and never read wire
+   header-plane columns (flow key included) only and never read wire
    bytes, so the pipeline can defer byte writeback across them; [Bytes]
    bodies may read or write raw bytes and force the plane to
    materialize first. [Opaque] kernels are always [Bytes]. *)
@@ -32,11 +32,6 @@ let filter ~name ?(hooks = []) ?(access = Bytes) f =
   { name; kernel = Filter f; hooks; access }
 
 let opaque ~name ?(hooks = []) f = { name; kernel = Opaque f; hooks; access = Bytes }
-
-(* Compatibility constructor: a pre-descriptor batch closure is an
-   opaque kernel (the pipeline cannot see through it, so it fuses with
-   nothing — exactly the old per-stage behaviour). *)
-let make ~name process = opaque ~name process
 
 let name t = t.name
 let kernel t = t.kernel

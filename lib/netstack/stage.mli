@@ -4,7 +4,7 @@
     its kernel shape, and the {!Pipeline} compiles with it:
 
     - {!Rewrite} — a pure per-packet header rewrite: touches only the
-      packet (and the batch's flow sidecar) at its own index, never
+      packet (and the batch's header plane) at its own index, never
       drops, never reorders. Fusible.
     - {!Filter} — a per-packet classify/drop decision with the same
       locality contract; [false] drops the packet (the pipeline
@@ -28,12 +28,13 @@
 type kernel =
   | Rewrite of (Engine.t -> Batch.t -> int -> Packet.t -> unit)
       (** [f engine batch i p]: rewrite packet [p] (= index [i]) in
-          place. Must call {!Batch.invalidate_flow} after mutating any
-          5-tuple field. *)
+          place. Write header fields through the columns
+          ({!Batch.set_col_ttl} ...); a byte-level rewrite calls
+          {!Batch.invalidate_hdr}. *)
   | Filter of (Engine.t -> Batch.t -> int -> Packet.t -> bool)
       (** Like {!Rewrite}, but returning [false] drops the packet. The
-          index is the {e pre-compaction} index: sidecar operations
-          against [i] are valid inside the callback. *)
+          index is the {e pre-compaction} index: header-plane
+          operations against [i] are valid inside the callback. *)
   | Opaque of (Engine.t -> Batch.t -> Batch.t)
       (** The whole batch, in and out — the pre-descriptor contract. *)
 
@@ -44,8 +45,8 @@ type hook = (unit -> unit) -> unit
 type access =
   | Cols
       (** The body reads/writes header fields only through the batch's
-          header-plane columns ({!Batch.col_ttl} ...) and the flow
-          sidecar; it never touches wire bytes. The pipeline may defer
+          header-plane columns ({!Batch.col_ttl} ..., {!Batch.flow});
+          it never touches wire bytes. The pipeline may defer
           byte writeback across any run of [Cols] stages. *)
   | Bytes
       (** The body may read or write raw packet bytes; the pipeline
@@ -75,11 +76,6 @@ val filter :
 
 val opaque :
   name:string -> ?hooks:hook list -> (Engine.t -> Batch.t -> Batch.t) -> t
-
-val make : name:string -> (Engine.t -> Batch.t -> Batch.t) -> t
-(** Compatibility constructor: equivalent to {!opaque} with no hooks.
-    Out-of-tree stages built with [make] keep compiling and behave
-    exactly as before (opaque kernels are never fused). *)
 
 val name : t -> string
 val kernel : t -> kernel

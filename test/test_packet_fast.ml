@@ -2,7 +2,7 @@
 
    Every fast-path rewrite (word-at-a-time accessors, the unrolled
    RFC 1071 checksum, native-int FNV-1a, the packed flow key, the
-   batch flow-key sidecar) is checked against a deliberately naive
+   batch's flow-key column) is checked against a deliberately naive
    reference implementation: byte-at-a-time reads off the raw buffer,
    a loop checksum, and the historical Int64 hash chain. *)
 
@@ -195,17 +195,24 @@ let prop_payload_pattern =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Flow-key sidecar                                                    *)
+(* Flow key as a header-plane column                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch slot's cache must always agree with a fresh header parse —
-   seeded, invalidated, or compacted. *)
-let sidecar_consistent b =
+(* Push [p] (crafted from [f]) with the plane seeded the way NIC rx
+   seeds it. *)
+let push_seeded b p f =
+  Batch.push b p;
+  Batch.seed_hdr b (Batch.length b - 1) ~flow:f ~key:(Flow.Key.of_flow f) ~ttl:(Packet.ttl p)
+    ~ip_len:(Packet.ip_total_length p) ~csum:(Packet.stored_checksum p)
+
+(* Every slot's key — derived on demand — must agree with a fresh
+   parse of the materialized bytes: seeded, rewritten or compacted. *)
+let keys_consistent b =
+  Batch.materialize b;
   let ok = ref true in
   for i = 0 to Batch.length b - 1 do
-    let p = Batch.get b i in
-    if not (Flow.equal (Batch.flow b i) (Packet.flow_of p)) then ok := false;
-    if Batch.flow_key b i <> Flow.hash (Packet.flow_of p) then ok := false
+    ignore (Batch.flow_key b i);
+    if not (Batch.hdr_consistent b i) then ok := false
   done;
   !ok
 
@@ -217,27 +224,33 @@ let prop_sidecar_rewrites =
       let p = fresh_packet () in
       craft p f ~payload_bytes ~ttl;
       let b = Batch.create ~capacity:4 in
-      Batch.push_flow b p f;
-      let seeded = Batch.flow_cached b 0 && sidecar_consistent b in
-      (* Maglev-style dst rewrite. *)
-      Packet.set_dst_ip_int p (Int32.to_int new_ip land 0xFFFFFFFF);
-      Batch.invalidate_flow b 0;
-      let after_dst = (not (Batch.flow_cached b 0)) && sidecar_consistent b in
+      push_seeded b p f;
+      let seeded = Batch.flow b 0 == f && keys_consistent b in
+      (* A TTL-only byte rewrite drops the plane but keeps the tuple:
+         the re-derived flow is still the interned record. *)
+      Packet.set_ttl p ((ttl + 1) land 0xFF);
+      Batch.invalidate_hdr b 0;
+      let after_ttl = Batch.flow b 0 == f && keys_consistent b in
+      (* Maglev-style dst rewrite through the column alone. *)
+      Batch.set_col_dst_ip b 0 (Int32.to_int new_ip land 0xFFFFFFFF);
+      let after_dst = keys_consistent b in
       (* NAT-style src rewrite. *)
-      Packet.set_src_ip_int p (Int32.to_int new_ip land 0xFFFFFFFF);
-      Packet.set_src_port p new_port;
-      Batch.invalidate_flow b 0;
-      let after_nat = sidecar_consistent b in
-      (* GRE encap makes the 5-tuple unparsable (protocol 47), so the
-         stage must leave the slot invalid; decap restores the inner
-         tuple and the cache must re-parse to exactly it. *)
+      Batch.set_col_src_ip b 0 (Int32.to_int new_ip land 0xFFFFFFFF);
+      Batch.set_col_src_port b 0 new_port;
+      let after_nat = keys_consistent b in
+      (* GRE encap makes the 5-tuple unparsable (protocol 47): the slot
+         must fail like the wire parse; decap restores the inner tuple
+         and the key must re-derive to exactly it. *)
       let inner = Packet.flow_of p in
       Packet.encap_gre p ~outer_src:0xC0A80001 ~outer_dst:0x0A010005;
-      Batch.invalidate_flow b 0;
-      let after_encap = (not (Batch.flow_cached b 0)) && Packet.is_gre p in
+      Batch.invalidate_hdr b 0;
+      let after_encap =
+        Packet.is_gre p
+        && (match Batch.flow b 0 with _ -> false | exception Invalid_argument _ -> true)
+      in
       Packet.decap_gre p;
-      Batch.invalidate_flow b 0;
-      seeded && after_dst && after_nat && after_encap && sidecar_consistent b
+      Batch.invalidate_hdr b 0;
+      seeded && after_ttl && after_dst && after_nat && after_encap && keys_consistent b
       && Flow.equal (Batch.flow b 0) inner)
 
 let prop_sidecar_compaction =
@@ -250,22 +263,19 @@ let prop_sidecar_compaction =
         (fun f ->
           let p = fresh_packet () in
           craft p f ~payload_bytes:16 ~ttl:8;
-          Batch.push_flow b p f)
+          push_seeded b p f)
         flows;
-      (* Drop a pseudo-random subset, mutating some survivors so both
-         valid and invalidated slots get compacted. *)
+      (* Drop a pseudo-random subset, rewriting some survivors so both
+         keyed and re-keyed slots get compacted. *)
       let dropped =
-        Batch.filteri_in_place b (fun i p ->
+        Batch.filteri_in_place b (fun i _p ->
             if (i + salt) mod 3 = 0 then false
             else begin
-              if (i + salt) mod 2 = 0 then begin
-                Packet.set_src_port p ((salt + i) land 0xFFFF);
-                Batch.invalidate_flow b i
-              end;
+              if (i + salt) mod 2 = 0 then Batch.set_col_src_port b i ((salt + i) land 0xFFFF);
               true
             end)
       in
-      List.length dropped + Batch.length b = List.length flows && sidecar_consistent b)
+      List.length dropped + Batch.length b = List.length flows && keys_consistent b)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -46,7 +46,7 @@ let spec_name = function
    deferred column write survived to this point unmaterialized, the
    snapshot (and the cross-side comparison of [sink]) exposes it. *)
 let snapshot_stage sink =
-  Stage.make ~name:"snapshot" (fun _engine b ->
+  Stage.opaque ~name:"snapshot" (fun _engine b ->
       for i = 0 to Batch.length b - 1 do
         sink := Packet.to_string (Batch.get b i) :: !sink
       done;
@@ -232,7 +232,7 @@ let test_deferred_writes_canonical_at_barrier () =
   let mg = Maglev.create ~clock ~backends () in
   let seen = ref 0 in
   let audit =
-    Stage.make ~name:"audit" (fun _engine b ->
+    Stage.opaque ~name:"audit" (fun _engine b ->
         for i = 0 to Batch.length b - 1 do
           let p = Batch.get b i in
           incr seen;
@@ -290,6 +290,27 @@ let test_materialize_only_at_tx () =
     List.iter (Mempool.free pool) frames;
     Mempool.assert_no_leaks pool
 
+(* A column write is the whole protocol: [set_col_dst_ip] and nothing
+   else must leave [flow_key] and [flow] agreeing with a fresh parse of
+   the materialized bytes — never the stale rx-seeded key. *)
+let test_column_write_rekeys () =
+  let clock = Cycles.Clock.create () in
+  let pool = Mempool.create ~clock ~capacity:16 () in
+  let engine = Engine.create ~clock ~pool () in
+  let plan = Traffic.plan (Traffic.Uniform { flows = 16 }) in
+  let nic =
+    Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create 3L) plan) ()
+  in
+  let b = Nic.rx_batch nic 4 in
+  Batch.set_col_dst_ip b 0 (Batch.col_dst_ip b 0 lxor 0x0A010007);
+  Batch.materialize b;
+  let fresh = Packet.flow_of (Batch.get b 0) in
+  Alcotest.(check int) "key re-derived from the columns" (Flow.hash fresh) (Batch.flow_key b 0);
+  Alcotest.(check bool) "flow re-derived from the columns" true
+    (Flow.equal fresh (Batch.flow b 0));
+  ignore (Nic.tx_batch nic b);
+  Mempool.assert_no_leaks pool
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -305,5 +326,7 @@ let () =
             test_deferred_writes_canonical_at_barrier;
           Alcotest.test_case "chains without barriers materialize at tx" `Quick
             test_materialize_only_at_tx;
+          Alcotest.test_case "a column write alone re-keys the slot" `Quick
+            test_column_write_rekeys;
         ] );
     ]
