@@ -128,7 +128,7 @@ let ablation_rows ~batches =
    packet at materialization) versus the write-through byte twins.
    Same configuration as the E20 wall race — heap payload backing, one
    recycled rx batch — so the "direct soa" row is the BENCH-tracked
-   trajectory of the `repro soa` gate's headline number. *)
+   trajectory of the `repro run soa` gate's headline number. *)
 let soa_rows ~batches =
   let run_variant name ~soa =
     let env =

@@ -1,8 +1,9 @@
 (* Regenerates the committed corpus of invalid checkpoint files
    (test/corpus/): one store directory whose every manifest is broken in
    a different deterministic way, exercising each rejection class of
-   Chkpt.Durable. E19's corpus block (and the recovery-determinism CI
-   job) run Durable.recover over it and golden-diff the rejections.
+   Chkpt.Durable. E19's corpus block (and `repro check recover` in
+   `dune runtest`) run Durable.recover over it and golden-diff the
+   rejections.
 
      dune exec tools/gen_corpus.exe -- test/corpus
 
