@@ -57,18 +57,8 @@ type stats_pair = {
   sp_uncached : Netstack.Shard.result;
 }
 
-val run_stats_pair :
-  ?queues:int ->
-  ?rounds:int ->
-  ?batch_size:int ->
-  ?flows:int ->
-  ?exponent:float ->
-  ?capacity:int ->
-  ?ttl_cycles:int64 ->
-  ?seed:int64 ->
-  shards:int ->
-  unit ->
-  stats_pair
+val run_stats_pair : ?rounds:int -> shards:int -> unit -> stats_pair
+(** {!run_stats} cached and uncached, at the defaults but [rounds]. *)
 
 val ledger_match : stats_pair -> bool
 (** The engine-scale equivalence check: crafted/served/degraded/dropped

@@ -55,9 +55,9 @@ type stats = {
 
 let speedup cold warm = if warm > 0 then float_of_int cold /. float_of_int warm else infinity
 
-let run_stats ?(funcs = default_funcs) ?(depth = default_depth) ?(edits = default_edits)
-    ?(iters = default_iters) ?(seed = default_seed) () =
-  let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
+let run_stats ?(funcs = default_funcs) ?(edits = default_edits) ?(iters = default_iters) () =
+  let seed = default_seed in
+  let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth = default_depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in
   let cache = Ifc.Summary_cache.create ~telemetry:reg () in
@@ -94,7 +94,7 @@ let run_stats ?(funcs = default_funcs) ?(depth = default_depth) ?(edits = defaul
   done;
   {
     s_funcs = funcs;
-    s_depth = depth;
+    s_depth = default_depth;
     s_stmts = Ifc.Ast.stmt_count program;
     s_cold = cold_stats;
     s_cold_verdict = verdict_str cold_report;
@@ -159,9 +159,9 @@ type wall = {
   w_equal : bool;
 }
 
-let run_wall ?(funcs = default_funcs) ?(depth = default_depth) ?(edits = default_edits)
-    ?(iters = 5) ?(seed = default_seed) () =
-  let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
+let run_wall ?(funcs = default_funcs) ?(edits = default_edits) ?(iters = 5) () =
+  let seed = default_seed in
+  let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth = default_depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in
   let cache = Ifc.Summary_cache.create ~telemetry:reg () in

@@ -40,8 +40,7 @@ type stats = {
   s_telemetry : Telemetry.Registry.t;
 }
 
-val run_stats :
-  ?funcs:int -> ?depth:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> stats
+val run_stats : ?funcs:int -> ?edits:int -> ?iters:int -> unit -> stats
 (** Deterministic in its arguments; the printed block golden-diffs
     byte-for-byte ([test/golden/reverify_stats.txt]). *)
 
@@ -56,8 +55,7 @@ type wall = {
   w_equal : bool;
 }
 
-val run_wall :
-  ?funcs:int -> ?depth:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> wall
+val run_wall : ?funcs:int -> ?edits:int -> ?iters:int -> unit -> wall
 
 val print_wall : wall -> unit
 
