@@ -18,7 +18,7 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Wall-clock trajectory: Bechamel microbenchmarks + pipeline Mpps,
+# Wall-clock trajectory: the microbenchmark and pipeline Mpps races,
 # serialized to BENCH_netstack.json at the repo root, plus a dated
 # line appended to BENCH_history.jsonl (the cross-commit trajectory).
 bench-json:

@@ -1,13 +1,20 @@
 (* Minimal JSON emitter for the benchmark trajectory file.
 
-   Schema (one object per benchmark):
-     { "name": string, "ns_per_run": float, "mpps": float }   (* mpps optional *)
+   Schema (one object per benchmark; mpps and words_per_pkt only on
+   throughput rows):
+     { "name": string, "ns_per_run": float, "mpps": float, "words_per_pkt": float }
 
    The file is rewritten wholesale on every run — it is a snapshot of
    the current tree's wall-clock numbers, not an append-only log; the
-   trajectory lives in version control. *)
+   trajectory lives in version control. Timings are each race's fastest
+   round (see [emit_json] in main.ml). *)
 
-type entry = { name : string; ns_per_run : float; mpps : float option }
+type entry = {
+  name : string;
+  ns_per_run : float;
+  mpps : float option;
+  words_per_pkt : float option;
+}
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -30,10 +37,15 @@ let float_str f =
   else if f = Float.neg_infinity then "-1e308"
   else Printf.sprintf "%.3f" f
 
+let optional ~sep key = function
+  | None -> ""
+  | Some v -> Printf.sprintf ",%s\"%s\":%s%s" sep key sep (float_str v)
+
 let entry_to_string e =
-  let mpps = match e.mpps with None -> "" | Some m -> Printf.sprintf ", \"mpps\": %s" (float_str m) in
-  Printf.sprintf "  { \"name\": \"%s\", \"ns_per_run\": %s%s }" (escape e.name)
-    (float_str e.ns_per_run) mpps
+  Printf.sprintf "  { \"name\": \"%s\", \"ns_per_run\": %s%s%s }" (escape e.name)
+    (float_str e.ns_per_run)
+    (optional ~sep:" " "mpps" e.mpps)
+    (optional ~sep:" " "words_per_pkt" e.words_per_pkt)
 
 let to_string entries =
   "[\n" ^ String.concat ",\n" (List.map entry_to_string entries) ^ "\n]\n"
@@ -50,11 +62,10 @@ let write ~path entries =
    by the caller (this module stays clock-free). *)
 let append_history ~path ~date entries =
   let compact e =
-    let mpps =
-      match e.mpps with None -> "" | Some m -> Printf.sprintf ",\"mpps\":%s" (float_str m)
-    in
-    Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s%s}" (escape e.name)
-      (float_str e.ns_per_run) mpps
+    Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s%s%s}" (escape e.name)
+      (float_str e.ns_per_run)
+      (optional ~sep:"" "mpps" e.mpps)
+      (optional ~sep:"" "words_per_pkt" e.words_per_pkt)
   in
   let line =
     Printf.sprintf "{\"date\":\"%s\",\"entries\":[%s]}\n" (escape date)

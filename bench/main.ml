@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (see DESIGN.md §4 for the experiment index) and
-   finishes with Bechamel wall-clock microbenchmarks.
+   finishes with the wall-clock races (DESIGN.md §10).
 
    Usage:
      dune exec bench/main.exe                 # everything, full trials
@@ -13,7 +13,7 @@
 let wallclock_entry =
   {
     Experiments.Registry.id = "wallclock";
-    description = "Bechamel wall-clock microbenchmarks";
+    description = "Wall-clock microbenchmarks";
     run = (fun ~quick:_ -> Wallclock.run ());
     check = None;
   }
@@ -36,18 +36,30 @@ let today () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday
 
-(* The wall-clock trajectory: every Bechamel row plus the sustained
-   pipeline throughput, serialized for trend tracking across commits. *)
+(* The wall-clock trajectory: every microbenchmark row plus the
+   sustained pipeline throughput, serialized for trend tracking across
+   commits. A row carries its race's fastest round, not the median the
+   tables print: the snapshot is compared with a committed baseline
+   taken on another run, and a median follows whichever of the host's
+   slow or fast phases the run happened to fall in. *)
 let emit_json ~quick =
   let rows = Wallclock.measure () in
   Wallclock.print rows;
-  let tp = Throughput.measure ~quick in
+  let tp = List.concat (Throughput.measure ~quick) in
+  let ns_per_item (r : Experiments.Measure.row) = 1e3 /. r.best_mpps in
   let entries =
-    List.map (fun (name, ns) -> { Json.name; ns_per_run = ns; mpps = None }) rows
+    List.map
+      (fun (r : Experiments.Measure.row) ->
+        { Json.name = r.name; ns_per_run = ns_per_item r; mpps = None; words_per_pkt = None })
+      rows
     @ List.map
-        (fun r ->
-          { Json.name = r.Throughput.name; ns_per_run = r.Throughput.ns_per_batch;
-            mpps = Some r.Throughput.mpps })
+        (fun (r : Experiments.Measure.row) ->
+          {
+            Json.name = r.name;
+            ns_per_run = ns_per_item r *. float_of_int Throughput.batch_size;
+            mpps = Some r.best_mpps;
+            words_per_pkt = Some r.words_per_pkt;
+          })
         tp
   in
   Json.write ~path:bench_json_path entries;

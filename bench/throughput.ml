@@ -1,174 +1,68 @@
 (* Packets-per-second throughput of the Maglev NF pipeline.
 
-   Bechamel measures single operations under OLS; this bench instead
-   drives sustained rx -> pipeline -> tx traffic for many batches and
-   reports wall-clock megapackets/second — the number a DPDK operator
-   would quote, and the one the allocation-free hot path is meant to
-   move. Absolute values are host-dependent; the Direct / Isolated /
-   Tagged spread is the paper's Figure 2 story told in real time. *)
-
-type result = { name : string; ns_per_batch : float; mpps : float }
+   Sustained rx -> pipeline -> tx traffic, reported as wall-clock
+   megapackets/second — the number a DPDK operator would quote. Two
+   {!Experiments.Measure.race}s: every Maglev configuration against
+   the default direct arm, and the E17 megaflow NF with and without its
+   flow cache. Absolute values are host-dependent; the paired ratios
+   are the paper's Figure 2 story told in real time. *)
 
 let batch_size = 32
+let prefix = "throughput: "
 
-(* Best-of-N timing: run [reps] timed windows over the same warmed
-   engine and keep the fastest. A single window on a shared
-   single-core host folds scheduler preemptions into the rate, which
-   both understates the code's cost floor and destabilises the ±30%
-   regression gate these rows feed. *)
-let reps = 6
-
-let best_of ~name ~batches serve =
-  let best = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let packets = serve batches in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    match !best with
-    | Some (_, e) when e <= elapsed -> ()
-    | _ -> best := Some (packets, elapsed)
-  done;
-  let packets, elapsed = Option.get !best in
-  {
-    name;
-    ns_per_batch = elapsed *. 1e9 /. float_of_int batches;
-    mpps = float_of_int packets /. elapsed /. 1e6;
-  }
-
-let modes =
-  [
-    ("throughput: maglev NF, direct", fun _env -> Netstack.Pipeline.Direct);
-    ( "throughput: maglev NF, isolated",
-      fun env -> Netstack.Pipeline.Isolated env.Experiments.Env.manager );
-    ("throughput: maglev NF, tagged", fun _env -> Netstack.Pipeline.Tagged);
-  ]
-
-let run_mode ~batches ?(fuse = true) ?backing (name, mode_of_env) =
-  let env = Experiments.Env.make ?backing () in
-  let _mg, stages = Experiments.Env.maglev_nf env in
-  let pipe =
-    Netstack.Pipeline.create ~engine:env.Experiments.Env.engine ~mode:(mode_of_env env) ~fuse
-      stages
+(* The Figure-2 NF in every calls mode, then the E18 ablations (fusion
+   pass off / GC-scanned [Bytes] payloads) and the E20 pair (the plain
+   NF through the write-through byte twins vs the column plane). *)
+let maglev_race ~reps ~batches =
+  let fusion ?(fuse = true) ?(backing = Netstack.Slab.Off_heap) mode label =
+    Experiments.Fusion_ablation.wall_arm ~mode ~fuse ~backing (prefix ^ "maglev NF, " ^ label)
   in
-  let nic = env.Experiments.Env.nic in
-  (* Count what the NIC actually handed over, not [batches * batch_size]:
-     a partially filled rx batch (driver pacing, pool pressure) would
-     otherwise inflate Mpps. *)
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      let b = Netstack.Nic.rx_batch nic batch_size in
-      received := !received + Netstack.Batch.length b;
-      match Netstack.Pipeline.run pipe b with
-      | Ok out -> ignore (Netstack.Nic.tx_batch nic out)
-      | Error _ -> assert false
-    done;
-    !received
+  let soa ~soa label =
+    Experiments.Soa_ablation.wall_arm ~soa ~fuse:true ~batch_size (prefix ^ "maglev NF, " ^ label)
   in
-  (* Warm the pool free list, Maglev connection table and minor heap
-     before the timed windows. *)
-  ignore (serve 64);
-  best_of ~name ~batches serve
+  Experiments.Measure.race ~reps ~batches
+    [
+      fusion Direct "direct";
+      fusion Isolated "isolated";
+      fusion Tagged "tagged";
+      fusion ~fuse:false Direct "direct unfused";
+      fusion ~backing:Netstack.Slab.Heap_bytes Direct "direct heap-bytes";
+      soa ~soa:false "direct bytes";
+      soa ~soa:true "direct soa";
+    ]
 
-(* The megaflow rows: the E17 NF (linear-scan rule DB in front of the
-   Maglev chain) over a Zipf mix, with and without the per-queue flow
-   cache. The population/capacity pair is sized so the cached row runs
+(* The E17 NF (linear-scan rule DB in front of the Maglev chain) over a
+   Zipf mix, with and without the flow cache, plus the rx generator
+   alone. The population/capacity pair is sized so the cached arm runs
    at a realistic ~95% hit rate, not an all-hit best case. *)
-let flowcache_rows ~batches =
-  let flows = 100_000 and capacity = 32_768 and exponent = 1.2 in
-  let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent }) in
-  let run_variant name ~cached =
-    let clock = Cycles.Clock.create () in
-    let pool = Netstack.Mempool.create ~clock ~capacity:4096 () in
-    let engine = Netstack.Engine.create ~clock ~pool () in
-    let rng = Cycles.Rng.create 2017L in
-    let nic = Netstack.Nic.create ~engine ~traffic:(Netstack.Traffic.of_plan ~rng plan) () in
-    let fc =
-      if cached then
-        Some
-          (Netstack.Flowcache.create ~clock ~capacity
-             ~ttl_cycles:(Int64.shift_left 1L 62) ())
-      else None
-    in
-    let stages = Experiments.Megaflow.make_stages ~clock () in
-    let pipe = Netstack.Pipeline.create ~engine ~mode:Netstack.Pipeline.Direct ?flowcache:fc stages in
-    let serve n =
-      let received = ref 0 in
-      for _ = 1 to n do
-        let b = Netstack.Nic.rx_batch nic batch_size in
-        received := !received + Netstack.Batch.length b;
-        match Netstack.Pipeline.run pipe b with
-        | Ok out -> ignore (Netstack.Nic.tx_batch nic out)
-        | Error _ -> assert false
-      done;
-      !received
-    in
-    ignore (serve 256);
-    best_of ~name ~batches serve
+let megaflow_race ~reps ~batches =
+  let plan =
+    Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows = 100_000; exponent = 1.2 })
   in
-  [
-    run_variant "throughput: megaflow NF, uncached" ~cached:false;
-    run_variant "throughput: megaflow NF, cached" ~cached:true;
-  ]
-
-(* The E18 ablation rows: the default rows above already run the fused
-   pipeline over the off-heap slab pool, so these two isolate what each
-   half buys — same NF, fusion pass disabled / GC-scanned [Bytes]
-   payload buffers. *)
-let ablation_rows ~batches =
-  [
-    run_mode ~batches ~fuse:false
-      ("throughput: maglev NF, direct unfused", fun _env -> Netstack.Pipeline.Direct);
-    run_mode ~batches ~backing:Netstack.Slab.Heap_bytes
-      ("throughput: maglev NF, direct heap-bytes", fun _env -> Netstack.Pipeline.Direct);
-  ]
-
-(* The E20 ablation rows: the plain Maglev NF rewriting headers through
-   the batch's column plane (deferred writeback, one RFC 1624 fold per
-   packet at materialization) versus the write-through byte twins.
-   Same configuration as the E20 wall race — heap payload backing, one
-   recycled rx batch — so the "direct soa" row is the BENCH-tracked
-   trajectory of the `repro run soa` gate's headline number. *)
-let soa_rows ~batches =
-  let run_variant name ~soa =
-    let env =
-      Experiments.Env.make ~backing:Netstack.Slab.Heap_bytes
-        ~telemetry:(Telemetry.Registry.create ()) ()
-    in
-    let _mg, stages = Experiments.Env.maglev_plain_nf ~soa env in
-    let pipe =
-      Netstack.Pipeline.create ~engine:env.Experiments.Env.engine
-        ~mode:Netstack.Pipeline.Direct stages
-    in
-    let nic = env.Experiments.Env.nic in
-    let batch = Netstack.Batch.create ~capacity:batch_size in
-    let serve n =
-      let received = ref 0 in
-      for _ = 1 to n do
-        Netstack.Nic.rx_batch_into nic batch batch_size;
-        received := !received + Netstack.Batch.length batch;
-        match Netstack.Pipeline.run pipe batch with
-        | Ok out -> ignore (Netstack.Nic.tx_batch nic out)
-        | Error _ -> assert false
-      done;
-      !received
-    in
-    ignore (serve 256);
-    best_of ~name ~batches serve
+  let arm path label =
+    ( prefix ^ label,
+      fst
+        (Experiments.Megaflow.wall_arm ~plan ~capacity:32_768
+           ~rule_pad:Experiments.Megaflow.default_rule_pad ~batch_size path) )
   in
-  [
-    run_variant "throughput: maglev NF, direct bytes" ~soa:false;
-    run_variant "throughput: maglev NF, direct soa" ~soa:true;
-  ]
+  Experiments.Measure.race ~reps ~batches
+    [
+      arm Uncached "megaflow NF, uncached";
+      arm Cached "megaflow NF, cached";
+      arm Generator "megaflow rx generator";
+    ]
+
+(* [(reps, batches)]: many short windows. A round of seven 30-50 ms
+   windows stays inside one phase of the host's speed, so its paired
+   ratios are tight; forty rounds spread every arm over the whole run. *)
+let schedule ~quick = if quick then (10, 512) else (40, 1024)
 
 let measure ~quick =
-  let batches = if quick then 512 else 8192 in
-  List.map (run_mode ~batches) modes
-  @ ablation_rows ~batches @ soa_rows ~batches @ flowcache_rows ~batches
+  let reps, batches = schedule ~quick in
+  [ maglev_race ~reps ~batches; megaflow_race ~reps ~batches ]
 
 let run ~quick =
-  let results = measure ~quick in
-  print_endline "Pipeline throughput (wall clock, batch=32):";
-  List.iter
-    (fun r -> Printf.printf "  %-40s %10.1f ns/batch %8.3f Mpps\n" r.name r.ns_per_batch r.mpps)
-    results
+  let reps, batches = schedule ~quick in
+  Printf.printf "Pipeline throughput (wall clock, batch=%d, %d interleaved rounds of %d batches):\n"
+    batch_size reps batches;
+  List.iter Experiments.Measure.print (measure ~quick)

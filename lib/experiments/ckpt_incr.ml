@@ -72,11 +72,6 @@ let mutate t prefs alts ~k ~round =
     Chkpt.Trie.insert t ~prefix:p ~len:24 ~rule
   done
 
-let time_ns f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  (Unix.gettimeofday () -. t0) *. 1e9
-
 (* Average ns per full-traversal checkpoint of the same database — the
    baseline every incremental row is compared against. *)
 let full_baseline_ns ~iters =
@@ -85,10 +80,9 @@ let full_baseline_ns ~iters =
   for _ = 1 to iters do
     total :=
       !total
-      +. time_ns (fun () ->
-             ignore (Chkpt.Checkpointable.checkpoint Chkpt.Trie.desc t))
+      +. snd (Measure.time (fun () -> Chkpt.Checkpointable.checkpoint Chkpt.Trie.desc t))
   done;
-  !total /. float_of_int (max 1 iters)
+  !total *. 1e9 /. float_of_int (max 1 iters)
 
 let modes = [ ("serial", Chkpt.Incr.Serial); ("par4", Chkpt.Incr.Parallel parallel_workers) ]
 
@@ -115,7 +109,9 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
   let last = ref Chkpt.Parallel.zero_stats in
   for round = 2 to iters + 1 do
     mutate t prefs alts ~k ~round;
-    sync_ns := !sync_ns +. time_ns (fun () -> last := Chkpt.Incr.sync ~mode tracker);
+    let stats, s = Measure.time (fun () -> Chkpt.Incr.sync ~mode tracker) in
+    last := stats;
+    sync_ns := !sync_ns +. (s *. 1e9);
     Chkpt.Tele.record_incr tele !last
   done;
   let incr_ns = !sync_ns /. float_of_int (max 1 iters) in
@@ -156,10 +152,10 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
     speedup = (if incr_ns > 0. then full_ns /. incr_ns else 0.);
   }
 
-(* Wall-clock bench hook (bechamel + BENCH_netstack.json): one call is
-   one mutate-then-sync round against a private tracked database, with
-   the same dirty set every round so the measured work is steady-state
-   O(dirty). *)
+(* Wall-clock bench hook (the microbenchmark race and
+   BENCH_netstack.json): one call is one mutate-then-sync round against
+   a private tracked database, with the same dirty set every round so
+   the measured work is steady-state O(dirty). *)
 let bench_incr ~mode ~dirty_pct =
   let t, prefs = build () in
   let tracker = Chkpt.Trie.tracker t in

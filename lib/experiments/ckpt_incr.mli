@@ -36,7 +36,8 @@ val bench_incr : mode:Chkpt.Incr.mode -> dirty_pct:int -> unit -> unit
 (** Wall-clock bench hook: builds a private tracked database once and
     returns a thunk performing one steady-state mutate-then-sync round
     (the dirty set is identical every round, so each call costs
-    O(dirty)). Used by the bechamel suite and BENCH_netstack.json. *)
+    O(dirty)). Used by the wall-clock microbenchmark race and
+    BENCH_netstack.json. *)
 
 val print_stats : row list -> unit
 (** Deterministic columns only — byte-stable across runs and machines;

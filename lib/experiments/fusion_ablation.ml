@@ -11,7 +11,7 @@
      group costs one protection-domain crossing where the unfused
      chain paid one per stage; and the payload backing (GC-scanned
      Bytes vs off-heap slab) is invisible to the virtual-cycle model.
-   - a wall-clock section sweeping the 2x2 ablation
+   - a wall-clock race ({!Measure.race}) over the 2x2 ablation
      {unfused, fused} x {heap Bytes, off-heap slab} on the Direct-mode
      NF, plus the Tagged fused arm for the isolation-tax ratio. *)
 
@@ -36,18 +36,19 @@ let det_mode_name = function
   | Isolated -> "isolated"
   | Tagged -> "tagged"
 
+let pipeline_mode env = function
+  | Direct -> Netstack.Pipeline.Direct
+  | Isolated -> Netstack.Pipeline.Isolated env.Env.manager
+  | Tagged -> Netstack.Pipeline.Tagged
+
 let run_det ?(rounds = default_rounds) ?(batch_size = default_batch_size)
     ?(backing = Netstack.Slab.Off_heap) ~mode ~fuse () =
   let telemetry = Telemetry.Registry.create () in
   let env = Env.make ~backing ~telemetry () in
   let _mg, stages = Env.maglev_nf env in
-  let pmode =
-    match mode with
-    | Direct -> Netstack.Pipeline.Direct
-    | Isolated -> Netstack.Pipeline.Isolated env.Env.manager
-    | Tagged -> Netstack.Pipeline.Tagged
+  let pipe =
+    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(pipeline_mode env mode) ~fuse stages
   in
-  let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode:pmode ~fuse stages in
   let crafted = ref 0 and tx = ref 0 in
   for _ = 1 to rounds do
     let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
@@ -206,124 +207,59 @@ let print_shard_stats (r : Netstack.Shard.result) =
 
 (* --- Wall-clock section ----------------------------------------------- *)
 
-type wall_row = {
-  wr_label : string;
-  wr_packets : int;
-  wr_wall_s : float;
-  wr_mpps : float;
-}
-
-type wall_result = {
-  w_batch_size : int;
-  w_batches : int;
-  w_rows : wall_row list;  (* 2x2 direct ablation, baseline first *)
-  w_tagged : wall_row;     (* tagged, fused, off-heap slab *)
-  w_direct_mpps : float;   (* direct, fused, off-heap slab — the headline *)
-  w_tagged_ratio : float;  (* direct fused-slab cost / tagged cost, as slowdown *)
-}
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let run_wall_variant ~reps ~label ~mode ~fuse ~backing ~batch_size ~warmup
-    ~batches =
+(* One race arm: the NF in a fresh environment with its own telemetry
+   registry, served through one recycled batch. *)
+let wall_arm ~mode ~fuse ~backing label =
   let env = Env.make ~backing ~telemetry:(Telemetry.Registry.create ()) () in
   let _mg, stages = Env.maglev_nf env in
-  let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode ~fuse stages in
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
-      received := !received + Netstack.Batch.length b;
-      match Netstack.Pipeline.run pipe b with
-      | Ok out -> ignore (Netstack.Nic.tx_batch env.Env.nic out)
-      | Error e -> failwith ("fusion_ablation: " ^ Sfi.Sfi_error.to_string e)
-    done;
-    !received
+  let pipe =
+    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(pipeline_mode env mode) ~fuse stages
   in
-  ignore (serve warmup);
-  (* Best-of-[reps]: this section carries explicit pass/fail targets, so
-     take the minimum wall time over several timed windows — a single
-     window on a shared single-core host folds scheduler preemptions
-     into the rate and fails targets the code actually meets. *)
-  let best = ref None in
-  for _ = 1 to max 1 reps do
-    let packets, wall = time (fun () -> serve batches) in
-    match !best with
-    | Some (_, w) when w <= wall -> ()
-    | _ -> best := Some (packets, wall)
-  done;
-  let packets, wall = Option.get !best in
-  {
-    wr_label = label;
-    wr_packets = packets;
-    wr_wall_s = wall;
-    wr_mpps = float_of_int packets /. wall /. 1e6;
-  }
+  let batch = Netstack.Batch.create ~capacity:default_batch_size in
+  (label, Measure.serve ~nic:env.Env.nic ~pipe ~batch)
 
-let run_wall ?(batch_size = 32) ?(warmup = 256) ?(batches = 8192) ?(reps = 6) ()
-    =
-  let v = run_wall_variant ~reps ~batch_size ~warmup ~batches in
+type wall_result = {
+  w_batches : int;
+  w_reps : int;
+  w_rows : Measure.row list;
+      (* direct fused off-heap first (the reference), tagged last *)
+}
+
+let run_wall ~reps ~batches () =
+  let arm mode ~fuse backing label = wall_arm ~mode ~fuse ~backing label in
   let rows =
-    [
-      v ~label:"unfused / heap-bytes" ~mode:Netstack.Pipeline.Direct ~fuse:false
-        ~backing:Netstack.Slab.Heap_bytes;
-      v ~label:"unfused / off-heap-slab" ~mode:Netstack.Pipeline.Direct ~fuse:false
-        ~backing:Netstack.Slab.Off_heap;
-      v ~label:"fused / heap-bytes" ~mode:Netstack.Pipeline.Direct ~fuse:true
-        ~backing:Netstack.Slab.Heap_bytes;
-      v ~label:"fused / off-heap-slab" ~mode:Netstack.Pipeline.Direct ~fuse:true
-        ~backing:Netstack.Slab.Off_heap;
-    ]
+    Measure.race ~reps ~batches
+      [
+        arm Direct ~fuse:true Netstack.Slab.Off_heap "fused / off-heap-slab";
+        arm Direct ~fuse:true Netstack.Slab.Heap_bytes "fused / heap-bytes";
+        arm Direct ~fuse:false Netstack.Slab.Off_heap "unfused / off-heap-slab";
+        arm Direct ~fuse:false Netstack.Slab.Heap_bytes "unfused / heap-bytes";
+        arm Tagged ~fuse:true Netstack.Slab.Off_heap "tagged fused / off-heap-slab";
+      ]
   in
-  let tagged =
-    v ~label:"tagged fused / off-heap-slab" ~mode:Netstack.Pipeline.Tagged ~fuse:true
-      ~backing:Netstack.Slab.Off_heap
-  in
-  let direct = List.nth rows 3 in
-  {
-    w_batch_size = batch_size;
-    w_batches = batches;
-    w_rows = rows;
-    w_tagged = tagged;
-    w_direct_mpps = direct.wr_mpps;
-    w_tagged_ratio = direct.wr_mpps /. tagged.wr_mpps;
-  }
+  { w_batches = batches; w_reps = reps; w_rows = rows }
+
+let direct_target_mpps = 0.578
+let tagged_target_slowdown = 1.5
 
 let print_wall w =
   Printf.printf
     "E18: kernel fusion / off-heap slab ablation (wall clock)\n\
-    \  direct-mode Maglev NF, batch=%d, %d timed batches per cell\n"
-    w.w_batch_size w.w_batches;
-  let baseline = (List.hd w.w_rows).wr_mpps in
-  Table.print
-    ~header:[ "variant"; "packets"; "Mpps"; "speedup" ]
-    (List.map
-       (fun r ->
-         [
-           r.wr_label;
-           Table.fi r.wr_packets;
-           Table.ff ~decimals:3 r.wr_mpps;
-           Table.ff ~decimals:2 (r.wr_mpps /. baseline) ^ "x";
-         ])
-       w.w_rows
-    @ [
-        [
-          w.w_tagged.wr_label;
-          Table.fi w.w_tagged.wr_packets;
-          Table.ff ~decimals:3 w.w_tagged.wr_mpps;
-          "-";
-        ];
-      ]);
+    \  direct-mode Maglev NF (tagged arm last), batch=%d, %d interleaved rounds of %d batches\n"
+    default_batch_size w.w_reps w.w_batches;
+  Measure.print w.w_rows;
+  let direct = List.hd w.w_rows and tagged = List.nth w.w_rows 4 in
+  (* The tagged arm's paired ratio is tagged/direct; its inverse is the
+     slowdown, so the quartiles swap ends. *)
+  let slowdown = 1. /. tagged.Measure.ratio in
   Printf.printf
-    "  tagged/direct slowdown (fused, off-heap): %.2fx (target <= 1.5x — %s)\n\
-    \  direct fused off-heap: %.3f Mpps (target >= 0.578 — %s)\n"
-    w.w_tagged_ratio
-    (if w.w_tagged_ratio <= 1.5 then "met" else "MISSED")
-    w.w_direct_mpps
-    (if w.w_direct_mpps >= 0.578 then "met" else "MISSED")
+    "  tagged/direct slowdown (fused, off-heap): %.2fx [%.2f, %.2f] (target <= %.1fx — %s)\n\
+    \  direct fused off-heap: %.3f Mpps (target >= %.3f — %s)\n"
+    slowdown (1. /. tagged.Measure.ratio_q3) (1. /. tagged.Measure.ratio_q1)
+    tagged_target_slowdown
+    (if slowdown <= tagged_target_slowdown then "met" else "MISSED")
+    direct.Measure.mpps direct_target_mpps
+    (if direct.Measure.mpps >= direct_target_mpps then "met" else "MISSED")
 
 (* --- Combined entry point (repro registry) ----------------------------- *)
 
@@ -338,7 +274,7 @@ let run ~quick () =
   let stats = run_stats ~rounds () in
   let shard = run_shard_stats ~rounds ~shards:1 () in
   let wall =
-    if quick then run_wall ~warmup:64 ~batches:512 ~reps:2 () else run_wall ()
+    if quick then run_wall ~reps:10 ~batches:256 () else run_wall ~reps:40 ~batches:1024 ()
   in
   { stats; shard; wall }
 

@@ -13,7 +13,7 @@
       crossing where the unfused chain paid one per stage (same
       outputs); and the payload backing (heap [Bytes] vs off-heap
       slab) is invisible to the virtual-cycle model.
-    - a wall-clock section sweeping {unfused, fused} x {heap Bytes,
+    - a wall-clock race sweeping {unfused, fused} x {heap Bytes,
       off-heap slab} on the Direct-mode Maglev NF, plus the Tagged
       fused arm for the isolation-tax ratio. *)
 
@@ -82,29 +82,23 @@ val print_shard_stats : Netstack.Shard.result -> unit
 
 (** {2 Wall-clock section} *)
 
-type wall_row = {
-  wr_label : string;
-  wr_packets : int;
-  wr_wall_s : float;
-  wr_mpps : float;
-}
+val wall_arm :
+  mode:det_mode ->
+  fuse:bool ->
+  backing:Netstack.Slab.backing ->
+  string ->
+  string * (int -> int)
+(** A named {!Measure.race} arm: the Figure-2 Maglev NF in a fresh
+    environment with its own telemetry registry, served by
+    {!Measure.serve} through one recycled batch of 32. *)
 
 type wall_result = {
-  w_batch_size : int;
   w_batches : int;
-  w_rows : wall_row list;  (** The 2x2 direct-mode ablation, baseline first. *)
-  w_tagged : wall_row;     (** Tagged, fused, off-heap slab. *)
-  w_direct_mpps : float;   (** Direct, fused, off-heap slab — the headline. *)
-  w_tagged_ratio : float;  (** Tagged slowdown vs that headline. *)
+  w_reps : int;
+  w_rows : Measure.row list;
+      (** Direct fused off-heap first (the reference of every paired
+          ratio), the 2x2 cells, the Tagged fused off-heap arm last. *)
 }
-
-val run_wall :
-  ?batch_size:int -> ?warmup:int -> ?batches:int -> ?reps:int -> unit -> wall_result
-(** Each cell is timed [reps] times (default 6) and the fastest window
-    is reported — a single window on a shared host folds scheduler
-    preemptions into the rate. *)
-
-val print_wall : wall_result -> unit
 
 (** {2 Combined entry point} *)
 

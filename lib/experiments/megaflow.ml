@@ -147,179 +147,111 @@ let print_stats_pair p =
 
 (* --- Wall-clock section ----------------------------------------------- *)
 
-type wall_variant = {
-  wv_packets : int;
-  wv_packets_out : int;
-  wv_wall_s : float;
-  wv_mpps : float;       (* end to end: rx craft + pipeline + tx *)
-  wv_pipe_mpps : float;  (* generator cost subtracted *)
-  wv_hit_rate : float;   (* 0 for the uncached variant *)
-}
+type wall_path = Generator | Uncached | Cached
+
+(* One race arm over a fresh single-queue environment on the shared
+   traffic plan, and a reader for its cache hit rate (0 without a
+   cache). The generator arm crafts and frees without any pipeline:
+   every NF arm pays that identical rx bill, so its rate is what the
+   pipeline-only column subtracts. *)
+let wall_arm ~plan ~capacity ~rule_pad ~batch_size path =
+  let clock = Cycles.Clock.create () in
+  let pool = Netstack.Mempool.create ~clock ~capacity:4096 () in
+  let engine = Netstack.Engine.create ~clock ~pool () in
+  let traffic = Netstack.Traffic.of_plan ~rng:(Cycles.Rng.create 2017L) plan in
+  let nic = Netstack.Nic.create ~engine ~traffic () in
+  let batch = Netstack.Batch.create ~capacity:batch_size in
+  match path with
+  | Generator ->
+    let run n =
+      let received = ref 0 in
+      for _ = 1 to n do
+        Netstack.Nic.rx_batch_into nic batch batch_size;
+        received := !received + Netstack.Batch.length batch;
+        Netstack.Nic.drop_batch nic batch
+      done;
+      !received
+    in
+    (run, fun () -> 0.)
+  | Uncached | Cached ->
+    let fc =
+      if path = Cached then
+        Some (Netstack.Flowcache.create ~clock ~capacity ~ttl_cycles:(Int64.shift_left 1L 62) ())
+      else None
+    in
+    let stages = make_stages ~clock ~rule_pad () in
+    let pipe =
+      Netstack.Pipeline.create ~engine ~mode:Netstack.Pipeline.Direct ?flowcache:fc stages
+    in
+    let hit_rate () =
+      match fc with
+      | None -> 0.
+      | Some fc ->
+        let s = Netstack.Flowcache.stats fc in
+        if s.Netstack.Flowcache.lookups = 0 then 0.
+        else
+          float_of_int s.Netstack.Flowcache.hits /. float_of_int s.Netstack.Flowcache.lookups
+    in
+    (Measure.serve ~nic ~pipe ~batch, hit_rate)
 
 type wall_result = {
   w_flows : int;
-  w_exponent : float;
   w_capacity : int;
-  w_batch_size : int;
   w_rules : int;
-  w_gen_mpps : float;
-  w_uncached : wall_variant;
-  w_cached : wall_variant;
-  w_speedup : float;
+  w_batches : int;
+  w_reps : int;
+  w_rows : Measure.row list;  (* uncached (the reference), cached, generator *)
+  w_pipe_mpps : float * float;  (* uncached, cached *)
   w_pipe_speedup : float;
+  w_hit_rate : float;
 }
 
-(* A fresh single-queue environment over the shared traffic plan. *)
-let wall_env ~plan ~seed ~pool_capacity =
-  let clock = Cycles.Clock.create () in
-  let pool = Netstack.Mempool.create ~clock ~capacity:pool_capacity () in
-  let engine = Netstack.Engine.create ~clock ~pool () in
-  let rng = Cycles.Rng.create seed in
-  let traffic = Netstack.Traffic.of_plan ~rng plan in
-  let nic = Netstack.Nic.create ~engine ~traffic () in
-  (clock, engine, nic)
+let wall_batch_size = 64
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-(* The rx loop alone (craft + free): what the harness costs without
-   any pipeline, measured so the pipeline-only rate can be reported
-   with the generator subtracted — both variants pay the identical
-   crafting bill, and it would otherwise flatter neither. *)
-let run_generator ~plan ~seed ~batch_size ~warmup ~batches =
-  let _clock, _engine, nic = wall_env ~plan ~seed ~pool_capacity:4096 in
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      let b = Netstack.Nic.rx_batch nic batch_size in
-      received := !received + Netstack.Batch.length b;
-      Netstack.Nic.drop_batch nic b
-    done;
-    !received
+let run_wall ~flows ~capacity ~reps ~batches () =
+  let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent = default_exponent }) in
+  let arm path =
+    wall_arm ~plan ~capacity ~rule_pad:wall_rule_pad ~batch_size:wall_batch_size path
   in
-  ignore (serve warmup);
-  let packets, wall = time (fun () -> serve batches) in
-  (packets, wall)
-
-let run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pad ~cached =
-  let clock, engine, nic = wall_env ~plan ~seed ~pool_capacity:4096 in
-  let fc =
-    if cached then
-      Some
-        (Netstack.Flowcache.create ~clock ~capacity
-           ~ttl_cycles:(Int64.shift_left 1L 62) ())
-    else None
+  let uncached, _ = arm Uncached and cached, hit_rate = arm Cached and gen, _ = arm Generator in
+  let rows =
+    Measure.race ~reps ~batches [ ("uncached", uncached); ("cached", cached); ("generator", gen) ]
   in
-  let stages = make_stages ~clock ~rule_pad () in
-  let pipe =
-    Netstack.Pipeline.create ~engine ~mode:Netstack.Pipeline.Direct ?flowcache:fc stages
+  (* Back the generator's per-packet time out of each NF arm's median
+     (clamped: the subtraction may consume at most 90% of it, so a
+     pathological host cannot produce negative rates). *)
+  let gen_s = 1. /. (List.nth rows 2).Measure.mpps in
+  let pipe r =
+    let s = 1. /. r.Measure.mpps in
+    1. /. (s -. min gen_s (0.9 *. s))
   in
-  let sent = ref 0 in
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      let b = Netstack.Nic.rx_batch nic batch_size in
-      received := !received + Netstack.Batch.length b;
-      match Netstack.Pipeline.run pipe b with
-      | Ok out -> sent := !sent + Netstack.Nic.tx_batch nic out
-      | Error _ -> assert false (* Direct mode cannot return Error *)
-    done;
-    !received
-  in
-  ignore (serve warmup);
-  sent := 0;
-  let packets, wall = time (fun () -> serve batches) in
-  let hit_rate =
-    match fc with
-    | None -> 0.
-    | Some fc ->
-      let s = Netstack.Flowcache.stats fc in
-      if s.Netstack.Flowcache.lookups = 0 then 0.
-      else
-        float_of_int s.Netstack.Flowcache.hits /. float_of_int s.Netstack.Flowcache.lookups
-  in
-  {
-    wv_packets = packets;
-    wv_packets_out = !sent;
-    wv_wall_s = wall;
-    wv_mpps = float_of_int packets /. wall /. 1e6;
-    wv_pipe_mpps = 0.;  (* filled in by [run_wall] once the generator is measured *)
-    wv_hit_rate = hit_rate;
-  }
-
-let run_wall ?(flows = default_flows) ?(exponent = default_exponent)
-    ?(capacity = default_capacity) ?(batch_size = 64) ?(warmup = 1_000) ?(batches = 12_000)
-    ?(rule_pad = wall_rule_pad) ?(seed = 2017L) () =
-  let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent }) in
-  let gen_packets, gen_wall = run_generator ~plan ~seed ~batch_size ~warmup ~batches in
-  let gen_mpps = float_of_int gen_packets /. gen_wall /. 1e6 in
-  (* Per-packet generator cost, used to back the harness out of each
-     variant's wall time (clamped: the subtraction can only consume
-     90% of a measurement, so a pathological host cannot produce
-     negative rates). *)
-  let gen_s_per_pkt = gen_wall /. float_of_int gen_packets in
-  let finish v =
-    let harness = min (gen_s_per_pkt *. float_of_int v.wv_packets) (0.9 *. v.wv_wall_s) in
-    { v with wv_pipe_mpps = float_of_int v.wv_packets /. (v.wv_wall_s -. harness) /. 1e6 }
-  in
-  let uncached =
-    finish
-      (run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pad
-         ~cached:false)
-  in
-  let cached =
-    finish
-      (run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pad
-         ~cached:true)
-  in
+  let u = pipe (List.nth rows 0) and c = pipe (List.nth rows 1) in
   {
     w_flows = flows;
-    w_exponent = exponent;
     w_capacity = capacity;
-    w_batch_size = batch_size;
-    w_rules = rule_pad + default_rule_drops;
-    w_gen_mpps = gen_mpps;
-    w_uncached = uncached;
-    w_cached = cached;
-    w_speedup = cached.wv_mpps /. uncached.wv_mpps;
-    w_pipe_speedup = cached.wv_pipe_mpps /. uncached.wv_pipe_mpps;
+    w_rules = wall_rule_pad + default_rule_drops;
+    w_batches = batches;
+    w_reps = reps;
+    w_rows = rows;
+    w_pipe_mpps = (u, c);
+    w_pipe_speedup = c /. u;
+    w_hit_rate = hit_rate ();
   }
 
 let print_wall w =
   Printf.printf
     "E17 (extension): megaflow flow-cache fast path (wall clock)\n\
-    \  Zipf(s=%.2f) over %d flows, cache capacity %d, batch=%d; NF =\n\
-    \  ruledb(%d rules, linear scan) -> csum -> ttl -> maglev-gre\n"
-    w.w_exponent w.w_flows w.w_capacity w.w_batch_size w.w_rules;
-  Table.print
-    ~header:[ "path"; "packets"; "tx"; "Mpps e2e"; "Mpps pipeline"; "hit rate"; "speedup" ]
-    [
-      [
-        "uncached";
-        Table.fi w.w_uncached.wv_packets;
-        Table.fi w.w_uncached.wv_packets_out;
-        Table.ff ~decimals:3 w.w_uncached.wv_mpps;
-        Table.ff ~decimals:3 w.w_uncached.wv_pipe_mpps;
-        "-";
-        "1.00x";
-      ];
-      [
-        "cached";
-        Table.fi w.w_cached.wv_packets;
-        Table.fi w.w_cached.wv_packets_out;
-        Table.ff ~decimals:3 w.w_cached.wv_mpps;
-        Table.ff ~decimals:3 w.w_cached.wv_pipe_mpps;
-        Table.fpct w.w_cached.wv_hit_rate;
-        Table.ff ~decimals:2 w.w_pipe_speedup ^ "x";
-      ];
-    ];
+    \  Zipf(s=%.2f) over %d flows, cache capacity %d, batch=%d, %d interleaved rounds\n\
+    \  of %d batches; NF = ruledb(%d rules, linear scan) -> csum -> ttl -> maglev-gre\n"
+    default_exponent w.w_flows w.w_capacity wall_batch_size w.w_reps w.w_batches w.w_rules;
+  Measure.print w.w_rows;
+  let u, c = w.w_pipe_mpps in
   Printf.printf
-    "  generator alone: %.3f Mpps (both variants pay it; the pipeline column\n\
-    \  backs it out). Target: >= 5x pipeline speedup at >= 90%% hit rate — %s\n"
-    w.w_gen_mpps
-    (if w.w_pipe_speedup >= 5.0 && w.w_cached.wv_hit_rate >= 0.9 then "met" else "MISSED")
+    "  pipeline only (generator subtracted): uncached %.3f Mpps, cached %.3f Mpps\n\
+    \  cached hit rate %s. Target: >= 5x pipeline speedup at >= 90%% hit rate:\n\
+    \  %.2fx — %s\n"
+    u c (Table.fpct w.w_hit_rate) w.w_pipe_speedup
+    (if w.w_pipe_speedup >= 5.0 && w.w_hit_rate >= 0.9 then "met" else "MISSED")
 
 (* --- Combined entry point (repro registry) ----------------------------- *)
 
@@ -334,8 +266,8 @@ let run ~quick () =
     else run_stats_pair ~shards:1 ()
   in
   let wall =
-    if quick then run_wall ~flows:200_000 ~capacity:65_536 ~warmup:300 ~batches:2_500 ()
-    else run_wall ()
+    if quick then run_wall ~flows:200_000 ~capacity:65_536 ~reps:10 ~batches:250 ()
+    else run_wall ~flows:default_flows ~capacity:default_capacity ~reps:40 ~batches:300 ()
   in
   { stats; wall }
 

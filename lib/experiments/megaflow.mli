@@ -69,44 +69,42 @@ val print_stats_pair : stats_pair -> unit
 
 (** {2 Wall-clock section} *)
 
-type wall_variant = {
-  wv_packets : int;       (** Packets received during the timed window. *)
-  wv_packets_out : int;   (** Packets transmitted (rest were dropped). *)
-  wv_wall_s : float;
-  wv_mpps : float;        (** End-to-end: rx craft + pipeline + tx. *)
-  wv_pipe_mpps : float;   (** Generator cost subtracted. *)
-  wv_hit_rate : float;    (** hits / lookups; 0 for the uncached run. *)
-}
+val default_rule_pad : int
+val default_flows : int
+val default_capacity : int
+
+type wall_path =
+  | Generator  (** rx craft + free, no pipeline. *)
+  | Uncached  (** The NF without a flow cache. *)
+  | Cached  (** The NF behind a flow cache of [capacity] entries. *)
+
+val wall_arm :
+  plan:Netstack.Traffic.plan ->
+  capacity:int ->
+  rule_pad:int ->
+  batch_size:int ->
+  wall_path ->
+  (int -> int) * (unit -> float)
+(** One {!Measure.race} arm over a fresh single-queue environment
+    (seed 2017) drawing from [plan], and a reader for its cache hit
+    rate so far (0 without a cache). NF arms run {!Measure.serve}
+    through one recycled batch of [batch_size]. *)
 
 type wall_result = {
   w_flows : int;
-  w_exponent : float;
   w_capacity : int;
-  w_batch_size : int;
   w_rules : int;
-  w_gen_mpps : float;     (** The rx-only loop alone. *)
-  w_uncached : wall_variant;
-  w_cached : wall_variant;
-  w_speedup : float;      (** End-to-end Mpps ratio. *)
-  w_pipe_speedup : float; (** Pipeline-only Mpps ratio — the headline. *)
+  w_batches : int;
+  w_reps : int;
+  w_rows : Measure.row list;
+      (** uncached (the reference of every paired ratio), cached,
+          generator. *)
+  w_pipe_mpps : float * float;
+      (** Uncached and cached median Mpps with the generator's
+          per-packet time subtracted. *)
+  w_pipe_speedup : float;  (** Cached over uncached, pipeline only — the headline. *)
+  w_hit_rate : float;  (** Cached arm, hits / lookups over the whole race. *)
 }
-
-val run_wall :
-  ?flows:int ->
-  ?exponent:float ->
-  ?capacity:int ->
-  ?batch_size:int ->
-  ?warmup:int ->
-  ?batches:int ->
-  ?rule_pad:int ->
-  ?seed:int64 ->
-  unit ->
-  wall_result
-(** Defaults: 1M flows, s = 1.2, 131072-entry cache, batch 64, 1k
-    warmup + 12k timed batches. With those parameters the Zipf tail
-    puts ~97% of arrivals inside the cache's reach. *)
-
-val print_wall : wall_result -> unit
 
 (** {2 Combined entry point} *)
 

@@ -6,40 +6,29 @@ type row = {
   scaling : float;
 }
 
-(* One replica: its own environment and pipeline, shared-nothing. *)
-let replica ~seed ~isolated ~batches ~batch_size () =
-  let env = Env.make ~seed () in
+(* One replica: its own environment, pipeline and recycled batch,
+   shared-nothing. *)
+let replica ~seed ~isolated =
+  let env = Env.make ~seed ~telemetry:(Telemetry.Registry.create ()) () in
   let stages = [ Netstack.Filters.checksum_verify; Netstack.Filters.ttl_decrement ] in
   let mode =
     if isolated then Netstack.Pipeline.Isolated env.Env.manager else Netstack.Pipeline.Direct
   in
   let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode stages in
-  fun () ->
-    for _ = 1 to batches do
-      let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
-      match Netstack.Pipeline.run pipe b with
-      | Ok out -> ignore (Netstack.Nic.tx_batch env.Env.nic out)
-      | Error e -> failwith (Sfi.Sfi_error.to_string e)
-    done
+  Measure.serve ~nic:env.Env.nic ~pipe ~batch:(Netstack.Batch.create ~capacity:32)
 
-let wall_time f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let throughput ~cores ~isolated ~batches ~batch_size =
-  (* Build all replicas first so construction cost stays outside the
-     timed region. *)
-  let bodies =
-    List.init cores (fun i ->
-        replica ~seed:(Int64.of_int (1000 + i)) ~isolated ~batches ~batch_size ())
-  in
-  let elapsed =
-    wall_time (fun () ->
-        let workers = List.map (fun body -> Domain.spawn body) bodies in
-        List.iter Domain.join workers)
-  in
-  float_of_int (cores * batches) /. elapsed
+(* A race arm running [cores] replicas concurrently: the first on the
+   calling domain, the rest on spawned ones. It returns batches served,
+   so the race's rate is batches per second. *)
+let arm ~cores ~isolated =
+  match List.init cores (fun i -> replica ~seed:(Int64.of_int (1000 + i)) ~isolated) with
+  | [] -> invalid_arg "Multicore: cores < 1"
+  | first :: rest ->
+    fun n ->
+      let workers = List.map (fun serve -> Domain.spawn (fun () -> ignore (serve n))) rest in
+      ignore (first n);
+      List.iter Domain.join workers;
+      cores * n
 
 let default_cores_list () =
   (* Never oversubscribe the host: with fewer hardware threads than
@@ -48,25 +37,36 @@ let default_cores_list () =
   let rdc = Domain.recommended_domain_count () in
   List.sort_uniq compare (List.filter (fun c -> c <= rdc) [ 1; 2; 4; 8 ])
 
-let run ?cores_list ?(batches_per_core = 3000) ?(batch_size = 32) () =
+(* Each core count's direct and isolated arms race [reps] interleaved
+   rounds; the timed work per replica and arm totals [batches_per_core]. *)
+let reps = 10
+
+let run ?cores_list ?(batches_per_core = 3000) () =
   let cores_list = match cores_list with Some l -> l | None -> default_cores_list () in
   let base = ref None in
   List.map
     (fun cores ->
-      let direct = throughput ~cores ~isolated:false ~batches:batches_per_core ~batch_size in
-      let isolated = throughput ~cores ~isolated:true ~batches:batches_per_core ~batch_size in
+      let rows =
+        Measure.race ~reps ~batches:(max 1 (batches_per_core / reps))
+          [
+            ("direct", arm ~cores ~isolated:false);
+            ("isolated", arm ~cores ~isolated:true);
+          ]
+      in
+      let direct = List.nth rows 0 and isolated = List.nth rows 1 in
+      let per_s r = r.Measure.mpps *. 1e6 in
       let scaling =
         match !base with
         | None ->
-          base := Some isolated;
+          base := Some (per_s isolated);
           1.0
-        | Some one -> isolated /. one
+        | Some one -> per_s isolated /. one
       in
       {
         cores;
-        direct_batches_per_s = direct;
-        isolated_batches_per_s = isolated;
-        isolation_cost = 1. -. (isolated /. direct);
+        direct_batches_per_s = per_s direct;
+        isolated_batches_per_s = per_s isolated;
+        isolation_cost = 1. -. isolated.Measure.ratio;
         scaling;
       })
     cores_list

@@ -20,14 +20,19 @@ type row = {
   cores : int;
   direct_batches_per_s : float;
   isolated_batches_per_s : float;
-  isolation_cost : float;      (** 1 − isolated/direct. *)
+  isolation_cost : float;
+      (** 1 − the median paired isolated/direct ratio of the race. *)
   scaling : float;             (** isolated throughput ÷ 1-core isolated. *)
 }
 
-val run : ?cores_list:int list -> ?batches_per_core:int -> ?batch_size:int -> unit -> row list
+val run : ?cores_list:int list -> ?batches_per_core:int -> unit -> row list
 (** Defaults: cores 1,2,4,8 {e capped at the host's}
     [Domain.recommended_domain_count] (oversubscribed replicas would
     measure the scheduler, not the architecture); 3000 batches of 32
-    per core. *)
+    per core. For each core count a {!Measure.race} interleaves the
+    direct and isolated arms over 10 rounds of [batches_per_core / 10]
+    batches per replica; an arm runs its [cores] replicas concurrently
+    (one on the calling domain), each with its own registry and one
+    recycled batch. *)
 
 val print : row list -> unit

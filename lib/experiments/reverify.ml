@@ -4,11 +4,6 @@ let default_edits = 5
 let default_iters = 3
 let default_seed = 17L
 
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, (Unix.gettimeofday () -. t0) *. 1e3)
-
 (* Bust Summary's per-instance memo: a fresh record is a fresh
    instance, so a Compositional verify on it really rebuilds every
    summary — the honest cold baseline. *)
@@ -156,59 +151,76 @@ type wall = {
   w_cold_ms : float;
   w_warm_ms : float;
   w_speedup : float;
+  w_speedup_q1 : float;
+  w_speedup_q3 : float;
   w_equal : bool;
 }
 
+(* A cold compositional verify raced against a warm reverify. The chain
+   of edited versions is generated before the race, so no edit is
+   timed; each arm's k-th window verifies version k, and the warm arm's
+   paired ratio against cold is the speedup. *)
 let run_wall ?(funcs = default_funcs) ?(edits = default_edits) ?(iters = 5) () =
   let seed = default_seed in
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth = default_depth; seed } in
   let program = Ifc.Gen.generate spec in
-  let reg = Telemetry.Registry.create () in
-  let cache = Ifc.Summary_cache.create ~telemetry:reg () in
+  (* One version per window: the race's warm-up plus [iters] rounds. *)
+  let versions =
+    let p = ref program in
+    Array.init (iters + 1) (fun i ->
+        p := fst (Ifc.Gen.edit ~seed:(Int64.add seed (Int64.of_int (7001 + i))) ~edits spec !p);
+        !p)
+  in
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
   ignore (ok "warmup" (Ifc.Verifier.reverify cache program));
-  let cold_ms = ref infinity in
-  let warm_ms = ref infinity in
-  let equal = ref true in
-  let p = ref program in
-  for i = 1 to iters do
-    let edited_p, _ = Ifc.Gen.edit ~seed:(Int64.add seed (Int64.of_int (7000 + i))) ~edits spec !p in
-    p := edited_p;
-    let warm, ms =
-      time_ms (fun () -> ok "warm reverify" (Ifc.Verifier.reverify cache edited_p))
-    in
-    warm_ms := min !warm_ms ms;
-    let cold, ms =
-      time_ms (fun () ->
-          ok "cold compositional"
-            (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance edited_p)))
-    in
-    cold_ms := min !cold_ms ms;
-    equal := !equal && String.equal (report_body (fst warm)) (report_body cold)
-  done;
-  {
-    w_funcs = funcs;
-    w_edits = edits;
-    w_cold_ms = !cold_ms;
-    w_warm_ms = !warm_ms;
-    w_speedup = (if !warm_ms > 0. then !cold_ms /. !warm_ms else infinity);
-    w_equal = !equal;
-  }
+  (* Each call verifies the next version; the reports are kept. *)
+  let arm verify reports n =
+    for _ = 1 to n do
+      reports := verify versions.(List.length !reports) :: !reports
+    done;
+    n
+  in
+  let cold_reports = ref [] and warm_reports = ref [] in
+  let cold p =
+    ok "cold compositional"
+      (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance p))
+  in
+  let warm p = fst (ok "warm reverify" (Ifc.Verifier.reverify cache p)) in
+  match
+    Measure.race ~reps:iters ~batches:1
+      [ ("cold", arm cold cold_reports); ("warm", arm warm warm_reports) ]
+  with
+  | [ c; w ] ->
+    {
+      w_funcs = funcs;
+      w_edits = edits;
+      w_cold_ms = 1e-3 /. c.mpps;
+      w_warm_ms = 1e-3 /. w.mpps;
+      w_speedup = w.ratio;
+      w_speedup_q1 = w.ratio_q1;
+      w_speedup_q3 = w.ratio_q3;
+      w_equal =
+        List.equal (fun a b -> String.equal (report_body a) (report_body b)) !warm_reports
+          !cold_reports;
+    }
+  | _ -> assert false
 
 let print_wall w =
   Printf.printf
     "wall-clock reverification (%d-function generated program, %d bodies edited per round,\n\
-    \  best of repeated rounds):\n"
+    \  cold and warm raced over the same versions, medians):\n"
     w.w_funcs w.w_edits;
   Printf.printf "  cold whole-program compositional: %8.2f ms\n" w.w_cold_ms;
   Printf.printf "  warm summary-cached reverify:     %8.2f ms (reports vs cold: %s)\n"
     w.w_warm_ms
     (if w.w_equal then "identical" else "DIVERGED");
-  Printf.printf "  speedup: %.1fx (target: >= 10x) %s\n" w.w_speedup
+  Printf.printf "  speedup: %.1fx [%.1f, %.1f] paired (target: >= 10x) %s\n" w.w_speedup
+    w.w_speedup_q1 w.w_speedup_q3
     (if w.w_speedup >= 10. then "[ok]" else "[MISS]")
 
 (* --- Bench rows (BENCH_netstack.json) --------------------------------- *)
 
-(* Steady-state per-run closures for the Bechamel rows: [cold] pays
+(* Steady-state per-run closures for the microbenchmark rows: [cold] pays
    construction + fingerprinting from an empty cache every run; [hit]
    re-fingerprints an unchanged program against a warm cache (pure
    cache-validation + main pass); [warm] edits 1% of bodies before

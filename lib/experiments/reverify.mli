@@ -51,7 +51,9 @@ type wall = {
   w_edits : int;
   w_cold_ms : float;
   w_warm_ms : float;
-  w_speedup : float;
+  w_speedup : float;  (** Median paired ratio, warm rate over cold. *)
+  w_speedup_q1 : float;
+  w_speedup_q3 : float;
   w_equal : bool;
 }
 
@@ -59,9 +61,9 @@ val run_wall : ?funcs:int -> ?edits:int -> ?iters:int -> unit -> wall
 
 val print_wall : wall -> unit
 
-(** Per-run closures for the Bechamel rows ([ifc summary cold] /
-    [ifc summary hit] / [ifc summary warm-1pct] in
-    BENCH_netstack.json). Each returns the staged thunk after doing
+(** Per-run closures for the wall-clock microbenchmark rows
+    ([ifc summary cold] / [ifc summary hit] / [ifc summary warm-1pct]
+    in BENCH_netstack.json). Each returns the per-run thunk after doing
     its one-time setup. *)
 
 val bench_cold : unit -> unit -> unit

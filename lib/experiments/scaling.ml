@@ -30,9 +30,8 @@ let run_one ?(rounds = default_rounds) ~mode ~shards () =
       ~batch_size:default_batch_size ~seed:default_seed ~mode ~stages:default_stages ()
   in
   let engine = Netstack.Shard.create spec in
-  let t0 = Unix.gettimeofday () in
-  let result = Netstack.Shard.run engine in
-  (Unix.gettimeofday () -. t0, result)
+  let result, wall_s = Measure.time (fun () -> Netstack.Shard.run engine) in
+  (wall_s, result)
 
 let default_modes = Netstack.Shard.[ Direct; Isolated; Copying; Tagged ]
 

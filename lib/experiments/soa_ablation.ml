@@ -195,133 +195,53 @@ let print_shard_stats (r : Netstack.Shard.result) =
 
 (* --- Wall-clock section ----------------------------------------------- *)
 
-type wall_row = {
-  wr_label : string;
-  wr_packets : int;
-  wr_wall_s : float;
-  wr_mpps : float;
-}
-
-type wall_result = {
-  w_batch_size : int;
-  w_batches : int;
-  w_rows : wall_row list;  (* 2x2: bytes/soa x unfused/fused, baseline first *)
-  w_soa_mpps : float;      (* direct, fused, soa — the headline *)
-}
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-(* All four arms run over the [Heap_bytes] backing: E18 pinned the
-   backing as invisible to the virtual-cycle model, and the heap arm
-   blits the NIC's cached frame templates with a memcpy where the
-   off-heap view pays a byte loop — the race should measure the header
-   plane, not the copy primitive. The serve loop recycles one batch
-   ({!Netstack.Nic.rx_batch_into}) so allocator traffic does not smear
-   the comparison either. *)
-(* One wall-race arm: its environment, pipeline, recycled batch, and
-   running best window. *)
-type wall_arm = {
-  wa_label : string;
-  wa_serve : int -> int;  (* serve [n] batches, return packets received *)
-  mutable wa_packets : int;
-  mutable wa_wall : float;
-}
-
-let make_wall_arm ~label ~soa ~fuse ~batch_size =
-  let env =
-    Env.make ~backing:Netstack.Slab.Heap_bytes
-      ~telemetry:(Telemetry.Registry.create ()) ()
-  in
+(* One race arm: the plain NF in a fresh environment (default off-heap
+   backing, own telemetry registry), served through one recycled
+   batch. *)
+let wall_arm ~soa ~fuse ~batch_size label =
+  let env = Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let _mg, stages = Env.maglev_plain_nf ~soa env in
   let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct
-      ~fuse stages
+    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct ~fuse stages
   in
   let batch = Netstack.Batch.create ~capacity:batch_size in
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      Netstack.Nic.rx_batch_into env.Env.nic batch batch_size;
-      received := !received + Netstack.Batch.length batch;
-      match Netstack.Pipeline.run pipe batch with
-      | Ok out -> ignore (Netstack.Nic.tx_batch env.Env.nic out)
-      | Error e -> failwith ("soa_ablation: " ^ Sfi.Sfi_error.to_string e)
-    done;
-    !received
-  in
-  { wa_label = label; wa_serve = serve; wa_packets = 0; wa_wall = infinity }
+  (label, Measure.serve ~nic:env.Env.nic ~pipe ~batch)
+
+type wall_result = {
+  w_batches : int;
+  w_reps : int;
+  w_rows : Measure.row list;  (* bytes/fused (the reference), soa/fused, then unfused *)
+}
 
 let soa_target_mpps = 1.2
 
-(* Best-of-[reps], with the reps of all four arms interleaved
-   round-robin rather than run arm-after-arm: host noise on a shared
-   single-core box is time-correlated over seconds, so sequential arms
-   would hand whichever cell ran during a quiet spell a free win (and
-   the headline gate a free loss). Interleaving samples every arm
-   across the whole measurement span — speedups are paired, and the
-   per-arm minimum gets [reps] scattered chances to catch a quiet
-   window. *)
-let run_wall ?(batch_size = wall_batch_size) ?(warmup = 512) ?(batches = 4096)
-    ?(reps = 12) () =
-  let arms =
-    [|
-      make_wall_arm ~label:"bytes / unfused" ~soa:false ~fuse:false ~batch_size;
-      make_wall_arm ~label:"bytes / fused" ~soa:false ~fuse:true ~batch_size;
-      make_wall_arm ~label:"soa / unfused" ~soa:true ~fuse:false ~batch_size;
-      make_wall_arm ~label:"soa / fused" ~soa:true ~fuse:true ~batch_size;
-    |]
-  in
-  Array.iter (fun a -> ignore (a.wa_serve warmup)) arms;
-  for _ = 1 to max 1 reps do
-    Array.iter
-      (fun a ->
-        let packets, wall = time (fun () -> a.wa_serve batches) in
-        if wall < a.wa_wall then begin
-          a.wa_wall <- wall;
-          a.wa_packets <- packets
-        end)
-      arms
-  done;
+let run_wall ~reps ~batches () =
+  let arm ~soa ~fuse label = wall_arm ~soa ~fuse ~batch_size:wall_batch_size label in
   let rows =
-    Array.to_list
-      (Array.map
-         (fun a ->
-           {
-             wr_label = a.wa_label;
-             wr_packets = a.wa_packets;
-             wr_wall_s = a.wa_wall;
-             wr_mpps = float_of_int a.wa_packets /. a.wa_wall /. 1e6;
-           })
-         arms)
+    Measure.race ~reps ~batches
+      [
+        arm ~soa:false ~fuse:true "bytes / fused";
+        arm ~soa:true ~fuse:true "soa / fused";
+        arm ~soa:false ~fuse:false "bytes / unfused";
+        arm ~soa:true ~fuse:false "soa / unfused";
+      ]
   in
-  let soa_fused = List.nth rows 3 in
-  { w_batch_size = batch_size; w_batches = batches; w_rows = rows;
-    w_soa_mpps = soa_fused.wr_mpps }
+  { w_batches = batches; w_reps = reps; w_rows = rows }
 
 let print_wall w =
   Printf.printf
     "E20: structure-of-arrays header plane ablation (wall clock)\n\
-    \  direct-mode plain Maglev NF, heap backing, batch=%d, %d timed batches per cell\n"
-    w.w_batch_size w.w_batches;
-  let baseline = (List.hd w.w_rows).wr_mpps in
-  Table.print
-    ~header:[ "variant"; "packets"; "Mpps"; "speedup" ]
-    (List.map
-       (fun r ->
-         [
-           r.wr_label;
-           Table.fi r.wr_packets;
-           Table.ff ~decimals:3 r.wr_mpps;
-           Table.ff ~decimals:2 (r.wr_mpps /. baseline) ^ "x";
-         ])
-       w.w_rows);
+    \  direct-mode plain Maglev NF, batch=%d, %d interleaved rounds of %d batches\n"
+    wall_batch_size w.w_reps w.w_batches;
+  Measure.print w.w_rows;
+  let soa = List.nth w.w_rows 1 in
   Printf.printf
-    "  direct soa fused: %.3f Mpps (target >= %.1f — %s)\n"
-    w.w_soa_mpps soa_target_mpps
-    (if w.w_soa_mpps >= soa_target_mpps then "met" else "MISSED")
+    "  direct soa fused: %.3f Mpps (target >= %.1f — %s)\n\
+    \  soa/bytes (fused, paired): %.3fx [%.3f, %.3f] (target > 1 — %s)\n"
+    soa.Measure.mpps soa_target_mpps
+    (if soa.Measure.mpps >= soa_target_mpps then "met" else "MISSED")
+    soa.Measure.ratio soa.Measure.ratio_q1 soa.Measure.ratio_q3
+    (if soa.Measure.ratio > 1. then "met" else "MISSED")
 
 (* --- Combined entry point (repro registry) ----------------------------- *)
 
@@ -336,7 +256,7 @@ let run ~quick () =
   let stats = run_stats ~rounds () in
   let shard = run_shard_stats ~rounds ~shards:1 () in
   let wall =
-    if quick then run_wall ~warmup:64 ~batches:512 ~reps:3 () else run_wall ()
+    if quick then run_wall ~reps:10 ~batches:256 () else run_wall ~reps:40 ~batches:1024 ()
   in
   { stats; shard; wall }
 

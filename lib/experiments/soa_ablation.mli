@@ -62,30 +62,19 @@ val print_shard_stats : Netstack.Shard.result -> unit
 
 (** {2 Wall-clock section} *)
 
-type wall_row = {
-  wr_label : string;
-  wr_packets : int;
-  wr_wall_s : float;
-  wr_mpps : float;
-}
+val wall_arm : soa:bool -> fuse:bool -> batch_size:int -> string -> string * (int -> int)
+(** A named {!Measure.race} arm: the plain Maglev NF ({!Env.maglev_plain_nf})
+    in a fresh environment over the default off-heap pool, with its own
+    telemetry registry, served by {!Measure.serve} through one recycled
+    batch of [batch_size]. *)
 
 type wall_result = {
-  w_batch_size : int;
   w_batches : int;
-  w_rows : wall_row list;  (** bytes/soa x unfused/fused, baseline first. *)
-  w_soa_mpps : float;      (** The (direct, fused, soa) headline. *)
+  w_reps : int;
+  w_rows : Measure.row list;
+      (** bytes/fused first (the reference of every paired ratio),
+          soa/fused (the headline), then the two unfused cells. *)
 }
-
-val soa_target_mpps : float
-
-val run_wall :
-  ?batch_size:int -> ?warmup:int -> ?batches:int -> ?reps:int -> unit -> wall_result
-(** Best-of-[reps] timed windows per cell, heap backing, one recycled
-    batch per cell ({!Netstack.Nic.rx_batch_into}). The reps of all
-    four cells are interleaved round-robin so time-correlated host
-    noise cannot favour whichever cell ran during a quiet spell. *)
-
-val print_wall : wall_result -> unit
 
 (** {2 Combined entry point} *)
 

@@ -232,6 +232,90 @@ let test_multicore_shape () =
       (one.Multicore.isolation_cost > -0.8 && one.Multicore.isolation_cost < 0.8)
   | _ -> Alcotest.fail "expected 1 row"
 
+(* Measure.race over deterministic fake arms: an arm is [n -> items]. *)
+let test_race_round_robin () =
+  let log = ref [] in
+  let arm i = (string_of_int i, fun n -> log := i :: !log; n) in
+  let rows = Measure.race ~reps:3 ~batches:5 [ arm 0; arm 1; arm 2 ] in
+  Alcotest.(check (list int))
+    "one warm-up window per arm, then rounds in arm order"
+    [ 0; 1; 2; 0; 1; 2; 0; 1; 2; 0; 1; 2 ]
+    (List.rev !log);
+  Alcotest.(check (list string)) "rows in arm order" [ "0"; "1"; "2" ]
+    (List.map (fun r -> r.Measure.name) rows);
+  let first = List.hd rows in
+  Alcotest.(check (list (float 0.))) "the first arm is its own reference" [ 1.; 1.; 1. ]
+    [ first.Measure.ratio; first.Measure.ratio_q1; first.Measure.ratio_q3 ]
+
+let test_race_counts () =
+  let calls = ref 0 in
+  let warmed =
+    ( "warmed",
+      fun n ->
+        incr calls;
+        if !calls = 1 then 1000 else 3 * n )
+  in
+  match Measure.race ~reps:4 ~batches:10 [ warmed; ("fixed", fun _ -> 7) ] with
+  | [ w; f ] ->
+    Alcotest.(check int) "warm-up window not counted" (4 * 30) w.Measure.packets;
+    Alcotest.(check int) "packets are what the arm returns" (4 * 7) f.Measure.packets
+  | _ -> Alcotest.fail "expected 2 rows"
+
+let test_race_words () =
+  let quiet = ("quiet", fun n -> n) in
+  let alloc =
+    ( "alloc",
+      fun n ->
+        for i = 1 to n do
+          (* A pair is a header plus two fields: 3 words. *)
+          ignore (Sys.opaque_identity (i, i))
+        done;
+        n )
+  in
+  match Measure.race ~reps:5 ~batches:1000 [ quiet; alloc ] with
+  | [ q; a ] ->
+    Alcotest.(check (float 0.)) "no allocation, 0 words" 0. q.Measure.words_per_pkt;
+    Alcotest.(check (float 0.)) "3 words per item" 3. a.Measure.words_per_pkt
+  | _ -> Alcotest.fail "expected 2 rows"
+
+let test_race_best () =
+  let round = ref 0 in
+  let burst =
+    ( "burst",
+      fun _ ->
+        incr round;
+        if !round = 3 then 1_000_000 else 1 )
+  in
+  match Measure.race ~reps:5 ~batches:1 [ burst ] with
+  | [ b ] ->
+    Alcotest.(check bool) "the fastest round sets best_mpps" true
+      (b.Measure.best_mpps > 1000. *. b.Measure.mpps)
+  | _ -> Alcotest.fail "expected 1 row"
+
+(* E21's two arms must verify the same version in every window. *)
+let test_reverify_wall_pairs_versions () =
+  let w = Reverify.run_wall ~funcs:100 ~edits:1 ~iters:3 () in
+  Alcotest.(check bool) "warm reports equal cold reports" true w.Reverify.w_equal;
+  Alcotest.(check bool) "speedup interval ordered" true
+    (w.Reverify.w_speedup_q1 <= w.Reverify.w_speedup
+    && w.Reverify.w_speedup <= w.Reverify.w_speedup_q3)
+
+let test_race_maglev_words_repeat () =
+  let words () =
+    match
+      Measure.race ~reps:3 ~batches:64
+        [
+          Fusion_ablation.wall_arm ~mode:Fusion_ablation.Direct ~fuse:true
+            ~backing:Netstack.Slab.Off_heap "direct";
+        ]
+    with
+    | [ r ] -> r.Measure.words_per_pkt
+    | _ -> Alcotest.fail "expected 1 row"
+  in
+  let a = words () in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words/pkt > 0" a) true (a > 0.);
+  Alcotest.(check (float 0.)) "identical on a second run" a (words ())
+
 let test_ablations_shape () =
   let r = Ablations.run ~trials:100 () in
   (match r.Ablations.pin with
@@ -367,5 +451,14 @@ let () =
           Alcotest.test_case "missing ledger match fails" `Quick test_check_missing_ledger;
           Alcotest.test_case "every check has a golden" `Quick test_every_check_has_golden;
           Alcotest.test_case "id resolver" `Quick test_resolve;
+        ] );
+      ( "measure",
+        [
+          Alcotest.test_case "race visits arms round-robin" `Quick test_race_round_robin;
+          Alcotest.test_case "race counts timed windows only" `Quick test_race_counts;
+          Alcotest.test_case "race words per packet exact" `Quick test_race_words;
+          Alcotest.test_case "recycled maglev words repeat" `Quick test_race_maglev_words_repeat;
+          Alcotest.test_case "race best is the fastest round" `Quick test_race_best;
+          Alcotest.test_case "reverify race pairs versions" `Quick test_reverify_wall_pairs_versions;
         ] );
     ]

@@ -22,10 +22,14 @@ warm reverify must be measurably cheaper than a cold rebuild — at
 broken cache, not jitter. Older lines without those rows pass as-is.
 
 One advisory (warn-only, never fails the check): a row whose
-ns_per_run swings by more than 2x between consecutive lines. On
-identical code that is measurement jitter the best-of-N windows should
-have absorbed; across commits it is a real cliff either way — both are
-worth a human look, neither should block CI.
+ns_per_run swings by more than 2x between consecutive lines. Rows are
+the fastest of interleaved race rounds (Experiments.Measure), which
+absorbs a short noisy spell but not a host that ran slower for a whole
+run; on identical code such a swing is host speed, across commits it
+may be a real cliff — both are worth a human look, neither should
+block CI.
+Lines written before the race harness hold best-of-N windows and
+Bechamel OLS estimates, so a swing at that boundary is expected.
 """
 
 import json
